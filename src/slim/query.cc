@@ -1,13 +1,13 @@
 #include "slim/query.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <chrono>
 #include <set>
 
 #include "obs/obs.h"
 #include "slim/slow_query.h"
-#include "util/strings.h"
 
 namespace slim::store {
 
@@ -110,112 +110,44 @@ std::string TermToString(const QueryTerm& t) {
   return "?";
 }
 
-// ---------------------------------------------------------------------------
-// Execution
-// ---------------------------------------------------------------------------
-
-// A clause with current bindings substituted where possible.
-struct ResolvedClause {
-  std::optional<std::string> subject;   // nullopt = unbound variable
-  std::optional<std::string> property;
-  std::optional<trim::Object> object;
-  // Variable names for unbound positions (empty = constant there).
-  std::string subject_var, property_var, object_var;
-};
-
-Result<ResolvedClause> ResolveClause(const QueryClause& clause,
-                                     const Binding& binding) {
-  ResolvedClause out;
-  // Subject.
-  switch (clause.subject.kind) {
-    case QueryTerm::Kind::kVariable: {
-      auto it = binding.find(clause.subject.text);
-      if (it != binding.end()) {
-        out.subject = it->second.text;  // subjects are resources
-      } else {
-        out.subject_var = clause.subject.text;
-      }
-      break;
-    }
-    case QueryTerm::Kind::kResource:
-      out.subject = clause.subject.text;
-      break;
-    case QueryTerm::Kind::kLiteral:
-      return Status::InvalidArgument(
-          "query: literal in subject position: " +
-          TermToString(clause.subject));
-  }
-  // Property.
-  switch (clause.property.kind) {
-    case QueryTerm::Kind::kVariable: {
-      auto it = binding.find(clause.property.text);
-      if (it != binding.end()) {
-        out.property = it->second.text;
-      } else {
-        out.property_var = clause.property.text;
-      }
-      break;
-    }
-    case QueryTerm::Kind::kResource:
-      out.property = clause.property.text;
-      break;
-    case QueryTerm::Kind::kLiteral:
-      return Status::InvalidArgument(
-          "query: literal in property position: " +
-          TermToString(clause.property));
-  }
-  // Object.
-  switch (clause.object.kind) {
-    case QueryTerm::Kind::kVariable: {
-      auto it = binding.find(clause.object.text);
-      if (it != binding.end()) {
-        out.object = it->second;
-      } else {
-        out.object_var = clause.object.text;
-      }
-      break;
-    }
-    case QueryTerm::Kind::kResource:
-      out.object = trim::Object::Resource(clause.object.text);
-      break;
-    case QueryTerm::Kind::kLiteral:
-      out.object = trim::Object::Literal(clause.object.text);
-      break;
-  }
-  return out;
-}
-
-// Selectivity estimate: lower = more selective = evaluated first.
-// Bound subject is the best key (direct index), then bound object, then
-// bound property, then nothing. `bound_var` answers "is this variable name
-// bound?" — the executor asks its concrete Binding, the planner asks the
-// set of names earlier steps will have bound. Cost depends only on *which*
-// variables are bound, so the planner's static simulation reproduces the
-// executor's order exactly (see Explain in query.h).
-template <typename BoundVarFn>
-int ClauseCostWith(const QueryClause& clause, const BoundVarFn& bound_var) {
-  auto bound = [&](const QueryTerm& t) {
-    return !t.is_variable() || bound_var(t.text);
-  };
-  if (bound(clause.subject)) return 0;
-  if (bound(clause.object)) return 1;
-  if (bound(clause.property)) return 2;
-  return 3;
-}
-
-int ClauseCost(const QueryClause& clause, const Binding& binding) {
-  return ClauseCostWith(clause, [&](const std::string& name) {
-    return binding.count(name) > 0;
-  });
-}
-
 std::string ClauseText(const QueryClause& clause) {
   return TermToString(clause.subject) + " " + TermToString(clause.property) +
          " " + TermToString(clause.object);
 }
 
+// A clause's terms by field, in the order the executor binds them.
+constexpr size_t kSubject = 0, kProperty = 1, kObject = 2;
+std::array<const QueryTerm*, 3> Terms(const QueryClause& clause) {
+  return {&clause.subject, &clause.property, &clause.object};
+}
+
+Status ValidateClause(const QueryClause& clause) {
+  if (clause.subject.kind == QueryTerm::Kind::kLiteral) {
+    return Status::InvalidArgument("query: literal in subject position: " +
+                                   TermToString(clause.subject));
+  }
+  if (clause.property.kind == QueryTerm::Kind::kLiteral) {
+    return Status::InvalidArgument("query: literal in property position: " +
+                                   TermToString(clause.property));
+  }
+  return Status::OK();
+}
+
+// The clause's query constants as a selection; variables stay free.
+trim::TriplePattern ConstantPattern(const QueryClause& clause) {
+  trim::TriplePattern pattern;
+  if (!clause.subject.is_variable()) pattern.subject = clause.subject.text;
+  if (!clause.property.is_variable()) pattern.property = clause.property.text;
+  if (clause.object.kind == QueryTerm::Kind::kResource) {
+    pattern.object = trim::Object::Resource(clause.object.text);
+  } else if (clause.object.kind == QueryTerm::Kind::kLiteral) {
+    pattern.object = trim::Object::Literal(clause.object.text);
+  }
+  return pattern;
+}
+
 // ---------------------------------------------------------------------------
-// Planning (EXPLAIN)
+// Planning
 // ---------------------------------------------------------------------------
 
 // Average posting-list length for an index with `keys` distinct keys over
@@ -226,272 +158,295 @@ uint64_t AverageFanout(size_t live, size_t keys) {
   return (static_cast<uint64_t>(live) + keys - 1) / keys;
 }
 
-// Simulates the executor's greedy clause ordering without touching data and
-// fills one PlanStep per clause. `step_of_clause` maps source clause index
-// -> plan step index so the ANALYZE executor can attribute its actuals.
-Result<QueryPlan> BuildPlan(const trim::TripleStore& store, const Query& query,
-                            std::vector<size_t>* step_of_clause) {
+// The one planner. Orders clauses greedily: each step takes the remaining
+// clause with the fewest estimated candidate rows per probe, given the
+// variables earlier steps bind. A clause whose fixed fields are all query
+// constants is estimated by the store's exact PlanAccess count; one with a
+// runtime-bound variable by the smallest of its fixed fields' estimates —
+// a constant's exact posting count, a bound variable's index average
+// fanout. Ties go to a fixed subject, then object, then property, then
+// none, then source order. Every clause is validated before any runs.
+Result<QueryPlan> BuildPlan(const trim::TripleStore& store,
+                            const Query& query) {
+  using IndexPath = trim::TripleStore::IndexPath;
   const std::vector<QueryClause>& clauses = query.clauses();
-  QueryPlan plan;
-  plan.query_text = query.ToString();
-  step_of_clause->assign(clauses.size(), 0);
-  std::vector<bool> used(clauses.size(), false);
-  std::set<std::string> bound_vars;
-  auto is_bound = [&](const std::string& name) {
-    return bound_vars.count(name) > 0;
+  std::vector<trim::TripleStore::AccessPlan> constant_access;
+  for (const QueryClause& clause : clauses) {
+    Status valid = ValidateClause(clause);
+    if (!valid.ok()) return valid;
+    constant_access.push_back(store.PlanAccess(ConstantPattern(clause)));
+  }
+  // Exact posting count of one constant field alone, read on first use.
+  std::vector<std::array<std::optional<uint64_t>, 3>> field_rows(
+      clauses.size());
+  auto exact_rows = [&](size_t clause, size_t field) {
+    std::optional<uint64_t>& rows = field_rows[clause][field];
+    if (!rows) {
+      trim::TriplePattern alone;
+      trim::TriplePattern all = ConstantPattern(clauses[clause]);
+      if (field == kSubject) alone.subject = std::move(all.subject);
+      if (field == kProperty) alone.property = std::move(all.property);
+      if (field == kObject) alone.object = std::move(all.object);
+      rows = store.PlanAccess(alone).candidates;
+    }
+    return *rows;
   };
+  const std::array<uint64_t, 3> fanout = {
+      AverageFanout(store.size(), store.DistinctSubjects()),
+      AverageFanout(store.size(), store.DistinctProperties()),
+      AverageFanout(store.size(), store.DistinctObjects())};
+  const std::array<IndexPath, 3> path_of = {
+      IndexPath::kSubject, IndexPath::kProperty, IndexPath::kObject};
+
+  std::set<std::string> bound_vars;
+  // One probe of clause `i` under `bound_vars`; `rank` gets the tie-break.
+  auto estimate = [&](size_t i, int* rank) {
+    std::array<const QueryTerm*, 3> terms = Terms(clauses[i]);
+    std::array<bool, 3> fixed{};
+    bool runtime_bound = false;
+    for (size_t f = 0; f < 3; ++f) {
+      bool var = terms[f]->is_variable();
+      fixed[f] = !var || bound_vars.count(terms[f]->text) > 0;
+      runtime_bound |= var && fixed[f];
+    }
+    PlanStep ps;
+    ps.clause_index = i;
+    for (size_t f = 0; f < 3; ++f) {
+      if (fixed[f]) ps.bound_fields += "spo"[f];
+    }
+    *rank = fixed[kSubject] ? 0 : fixed[kObject] ? 1 : fixed[kProperty] ? 2 : 3;
+    if (!runtime_bound) {
+      ps.predicted_path = constant_access[i].path;
+      ps.estimated_rows = constant_access[i].candidates;
+      ps.estimate_exact = true;
+      return ps;
+    }
+    // The store takes the strictly smallest list in subject, object,
+    // property order, and may still divert at run time: not exact.
+    bool have = false;
+    for (size_t f : {kSubject, kObject, kProperty}) {
+      if (!fixed[f]) continue;
+      uint64_t rows = terms[f]->is_variable() ? fanout[f] : exact_rows(i, f);
+      if (!have || rows < ps.estimated_rows) {
+        ps.estimated_rows = rows;
+        ps.predicted_path = path_of[f];
+        have = true;
+      }
+    }
+    return ps;
+  };
+
+  QueryPlan plan;
+  std::vector<bool> used(clauses.size(), false);
   for (size_t step = 0; step < clauses.size(); ++step) {
-    // Same pick as Search: first clause (in source order among the not yet
-    // chosen) with minimal cost.
-    size_t best = clauses.size();
-    int best_cost = 99;
+    PlanStep best;
+    int best_rank = 0;
+    bool have = false;
     for (size_t i = 0; i < clauses.size(); ++i) {
       if (used[i]) continue;
-      int cost = ClauseCostWith(clauses[i], is_bound);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = i;
+      int rank = 0;
+      PlanStep ps = estimate(i, &rank);
+      if (!have || ps.estimated_rows < best.estimated_rows ||
+          (ps.estimated_rows == best.estimated_rows && rank < best_rank)) {
+        best = std::move(ps);
+        best_rank = rank;
+        have = true;
       }
     }
-    used[best] = true;
-    (*step_of_clause)[best] = step;
-    const QueryClause& clause = clauses[best];
-
-    PlanStep ps;
-    ps.clause_index = best;
-    ps.clause_text = ClauseText(clause);
-
-    // Classify each field: constant, runtime-bound variable, or free.
-    if (clause.subject.kind == QueryTerm::Kind::kLiteral) {
-      return Status::InvalidArgument("query: literal in subject position: " +
-                                     TermToString(clause.subject));
-    }
-    if (clause.property.kind == QueryTerm::Kind::kLiteral) {
-      return Status::InvalidArgument("query: literal in property position: " +
-                                     TermToString(clause.property));
-    }
-    std::optional<std::string> subject_const, property_const;
-    std::optional<trim::Object> object_const;
-    if (clause.subject.kind == QueryTerm::Kind::kResource) {
-      subject_const = clause.subject.text;
-    }
-    if (clause.property.kind == QueryTerm::Kind::kResource) {
-      property_const = clause.property.text;
-    }
-    if (clause.object.kind == QueryTerm::Kind::kResource) {
-      object_const = trim::Object::Resource(clause.object.text);
-    } else if (clause.object.kind == QueryTerm::Kind::kLiteral) {
-      object_const = trim::Object::Literal(clause.object.text);
-    }
-    bool subject_fixed =
-        subject_const.has_value() || is_bound(clause.subject.text);
-    bool property_fixed =
-        property_const.has_value() || is_bound(clause.property.text);
-    bool object_fixed = object_const.has_value() ||
-                        (clause.object.is_variable() &&
-                         is_bound(clause.object.text));
-    if (subject_fixed) ps.bound_fields += 's';
-    if (property_fixed) ps.bound_fields += 'p';
-    if (object_fixed) ps.bound_fields += 'o';
-
-    bool has_runtime_bound = (subject_fixed && !subject_const) ||
-                             (property_fixed && !property_const) ||
-                             (object_fixed && !object_const);
-    if (!has_runtime_bound) {
-      // Every fixed field is a query constant — the store can tell us the
-      // exact path and candidate count it will use (store size for a scan).
-      trim::TriplePattern pattern;
-      pattern.subject = subject_const;
-      pattern.property = property_const;
-      pattern.object = object_const;
-      trim::TripleStore::AccessPlan access = store.PlanAccess(pattern);
-      ps.predicted_path = access.path;
-      ps.estimated_rows = access.candidates;
-      ps.estimate_exact = true;
-    } else {
-      // A runtime-bound variable fixes a field whose value differs per
-      // probe. Predict the path by the store's own consideration order
-      // (subject > object > property) and estimate with the exact posting
-      // count when that field is a constant, the index's average fanout
-      // otherwise. Either way the store may divert to a smaller list at
-      // run time, so the estimate is not exact.
-      auto exact_for = [&](trim::TriplePattern pattern) {
-        return static_cast<uint64_t>(store.PlanAccess(pattern).candidates);
-      };
-      if (subject_fixed) {
-        ps.predicted_path = trim::TripleStore::IndexPath::kSubject;
-        ps.estimated_rows =
-            subject_const
-                ? exact_for(trim::TriplePattern::BySubject(*subject_const))
-                : AverageFanout(store.size(), store.DistinctSubjects());
-      } else if (object_fixed) {
-        ps.predicted_path = trim::TripleStore::IndexPath::kObject;
-        ps.estimated_rows =
-            object_const
-                ? exact_for(trim::TriplePattern::ByObject(*object_const))
-                : AverageFanout(store.size(), store.DistinctObjects());
-      } else {
-        ps.predicted_path = trim::TripleStore::IndexPath::kProperty;
-        ps.estimated_rows =
-            property_const
-                ? exact_for(trim::TriplePattern::ByProperty(*property_const))
-                : AverageFanout(store.size(), store.DistinctProperties());
-      }
-      ps.estimate_exact = false;
-    }
-
-    // This step binds every free variable of its clause.
-    for (const QueryTerm* t :
-         {&clause.subject, &clause.property, &clause.object}) {
+    const QueryClause& clause = clauses[best.clause_index];
+    used[best.clause_index] = true;
+    for (const QueryTerm* t : Terms(clause)) {
       if (t->is_variable()) bound_vars.insert(t->text);
     }
-    plan.steps.push_back(std::move(ps));
+    plan.steps.push_back(std::move(best));
   }
   return plan;
 }
 
+// The plan's query and clause text, for EXPLAIN output only: Execute
+// never renders it.
+void RenderText(const Query& query, QueryPlan* plan) {
+  plan->query_text = query.ToString();
+  for (PlanStep& step : plan->steps) {
+    step.clause_text = ClauseText(query.clauses()[step.clause_index]);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Analyzed execution (EXPLAIN ANALYZE)
+// Execution
 // ---------------------------------------------------------------------------
 
-struct AnalyzeContext {
-  QueryPlan* plan;
-  const std::vector<size_t>* step_of_clause;
-  const QueryClause* clause_base;  // &query.clauses()[0], for index recovery
+// What an analyzed run attributes to one plan step.
+struct StepActuals {
+  uint64_t probes = 0;
+  uint64_t rows_examined = 0;
+  uint64_t rows_matched = 0;
+  uint64_t rows_out = 0;
+  int64_t wall_ns = 0;  // the step's own probes; nested steps excluded
 };
 
-// Mirror of Search that attributes probes, rows and wall time to plan
-// steps. Matched bindings are buffered per probe and recursed into after
-// the step's timer stops, so `wall_us` measures only this pattern's own
-// index work, not the nested joins under it.
-void SearchAnalyzed(const trim::TripleStore& store,
-                    std::vector<const QueryClause*> remaining,
-                    const Binding& binding, std::vector<Binding>* out,
-                    Status* failure, AnalyzeContext* ctx) {
-  if (!failure->ok()) return;
-  if (remaining.empty()) {
-    out->push_back(binding);
-    return;
-  }
-  size_t best = 0;
-  int best_cost = 99;
-  for (size_t i = 0; i < remaining.size(); ++i) {
-    int cost = ClauseCost(*remaining[i], binding);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = i;
-    }
-  }
-  const QueryClause* clause = remaining[best];
-  remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best));
-  PlanStep& step =
-      ctx->plan->steps[(*ctx->step_of_clause)[static_cast<size_t>(
-          clause - ctx->clause_base)]];
-
-  Result<ResolvedClause> resolved = ResolveClause(*clause, binding);
-  if (!resolved.ok()) {
-    *failure = resolved.status();
-    return;
-  }
-  trim::TriplePattern pattern;
-  pattern.subject = resolved->subject;
-  pattern.property = resolved->property;
-  pattern.object = resolved->object;
-
-  trim::TripleStore::SelectStats stats;
-  std::vector<Binding> next_bindings;
-  auto probe_start = std::chrono::steady_clock::now();
-  store.SelectEach(
-      pattern,
-      [&](const trim::Triple& t) {
-        Binding next = binding;
-        auto bind = [&](const std::string& var, BoundValue value) {
-          if (var.empty()) return true;
-          auto it = next.find(var);
-          if (it != next.end()) return it->second == value;
-          next[var] = std::move(value);
-          return true;
-        };
-        if (!bind(resolved->subject_var, trim::Object::Resource(t.subject))) {
-          return true;
-        }
-        if (!bind(resolved->property_var,
-                  trim::Object::Resource(t.property))) {
-          return true;
-        }
-        if (!bind(resolved->object_var, t.object)) return true;
-        next_bindings.push_back(std::move(next));
-        return true;
-      },
-      &stats);
-  auto probe_end = std::chrono::steady_clock::now();
-  step.probes += 1;
-  step.rows_examined += stats.examined;
-  step.rows_matched += stats.matched;
-  step.rows_out += next_bindings.size();
-  step.wall_us += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(probe_end -
-                                                            probe_start)
-          .count());
-  for (const Binding& next : next_bindings) {
-    SearchAnalyzed(store, remaining, next, out, failure, ctx);
-    if (!failure->ok()) return;
-  }
+int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
-void Search(const trim::TripleStore& store,
-            std::vector<const QueryClause*> remaining, const Binding& binding,
-            std::vector<Binding>* out, Status* failure) {
-  if (!failure->ok()) return;
-  if (remaining.empty()) {
-    out->push_back(binding);
-    return;
-  }
-  // Pick the most selective remaining clause under current bindings.
-  size_t best = 0;
-  int best_cost = 99;
-  for (size_t i = 0; i < remaining.size(); ++i) {
-    int cost = ClauseCost(*remaining[i], binding);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = i;
-    }
-  }
-  const QueryClause* clause = remaining[best];
-  remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best));
+// A variable's current value. `text` views a string inside a store
+// record, which stays valid only while the execution's
+// TripleStore::Snapshot is held: a record visible at the pinned epoch has
+// its payload cleared only after every pin passes its death epoch, and
+// compaction frees old records only after the same wait.
+struct Slot {
+  trim::ObjectKind kind = trim::ObjectKind::kResource;
+  std::string_view text;
 
-  Result<ResolvedClause> resolved = ResolveClause(*clause, binding);
-  if (!resolved.ok()) {
-    *failure = resolved.status();
-    return;
-  }
-  trim::TriplePattern pattern;
-  pattern.subject = resolved->subject;
-  pattern.property = resolved->property;
-  pattern.object = resolved->object;
+  friend bool operator==(const Slot&, const Slot&) = default;
+};
 
-  store.SelectEach(pattern, [&](const trim::Triple& t) {
-    Binding next = binding;
-    // Bind unbound variables; repeated variables within the clause must
-    // agree (e.g. "?x link ?x").
-    auto bind = [&](const std::string& var, BoundValue value) {
-      if (var.empty()) return true;
-      auto it = next.find(var);
-      if (it != next.end()) return it->second == value;
-      next[var] = std::move(value);
-      return true;
-    };
-    if (!bind(resolved->subject_var, trim::Object::Resource(t.subject))) {
-      return true;
+// How one field of one step is handled.
+enum class Use {
+  kConstant,  // a query constant, fixed in the step's pattern
+  kProbe,     // bound by an earlier step: written into the pattern per probe
+  kBind,      // first occurrence: binds the slot from the matched row
+  kAgree,     // repeated within the clause: the row must match the slot
+};
+
+struct ExecStep {
+  trim::TriplePattern pattern;  // constants; kProbe fields set per probe
+  std::array<Use, 3> use{};
+  std::array<size_t, 3> slot{};
+};
+
+// The one executor: an index-nested-loop join over `plan.steps`, with
+// bindings in a dense slot vector (one slot per variable) and a Binding
+// map built once per solution.
+class Executor {
+ public:
+  Executor(const trim::TripleStore& store, const Query& query,
+           const QueryPlan& plan)
+      : store_(store), names_(query.Variables()), slots_(names_.size()) {
+    std::vector<size_t> bound_at(names_.size(), 0);  // step + 1; 0 = free
+    for (size_t step = 0; step < plan.steps.size(); ++step) {
+      const QueryClause& clause =
+          query.clauses()[plan.steps[step].clause_index];
+      ExecStep es;
+      es.pattern = ConstantPattern(clause);
+      std::array<const QueryTerm*, 3> terms = Terms(clause);
+      for (size_t f = 0; f < 3; ++f) {
+        if (!terms[f]->is_variable()) continue;
+        size_t slot = static_cast<size_t>(
+            std::find(names_.begin(), names_.end(), terms[f]->text) -
+            names_.begin());
+        es.slot[f] = slot;
+        if (bound_at[slot] == 0) {
+          es.use[f] = Use::kBind;
+          bound_at[slot] = step + 1;
+        } else {
+          es.use[f] = bound_at[slot] == step + 1 ? Use::kAgree : Use::kProbe;
+        }
+      }
+      if (es.use[kSubject] == Use::kProbe) es.pattern.subject.emplace();
+      if (es.use[kProperty] == Use::kProbe) es.pattern.property.emplace();
+      if (es.use[kObject] == Use::kProbe) es.pattern.object.emplace();
+      steps_.push_back(std::move(es));
     }
-    if (!bind(resolved->property_var, trim::Object::Resource(t.property))) {
-      return true;
+  }
+
+  // Appends every solution to `out`; with `actuals`, attributes each
+  // step's probes, rows and wall time. The caller's `pin` must outlive the
+  // run (see Slot).
+  void Run(const trim::TripleStore::Snapshot& /*pin*/,
+           std::vector<Binding>* out, std::vector<StepActuals>* actuals) {
+    out_ = out;
+    actuals_ = actuals;
+    Walk(0);
+  }
+
+ private:
+  // One probe of step `depth` under the current slots, recursing into the
+  // next step for every row that binds.
+  void Walk(size_t depth) {
+    if (depth == steps_.size()) {
+      Emit();
+      return;
     }
-    if (!bind(resolved->object_var, t.object)) return true;
-    Search(store, remaining, next, out, failure);
-    return failure->ok();
-  });
-}
+    ExecStep& step = steps_[depth];
+    if (step.use[kSubject] == Use::kProbe) {
+      step.pattern.subject->assign(slots_[step.slot[kSubject]].text);
+    }
+    if (step.use[kProperty] == Use::kProbe) {
+      step.pattern.property->assign(slots_[step.slot[kProperty]].text);
+    }
+    if (step.use[kObject] == Use::kProbe) {
+      const Slot& value = slots_[step.slot[kObject]];
+      step.pattern.object->kind = value.kind;
+      step.pattern.object->text.assign(value.text);
+    }
+    struct Frame {
+      size_t depth;
+      StepActuals* actuals;
+      int64_t nested_ns;
+    } frame{depth, actuals_ != nullptr ? &(*actuals_)[depth] : nullptr, 0};
+    trim::TripleStore::SelectStats stats;
+    int64_t start = frame.actuals != nullptr ? NowNs() : 0;
+    // Two pointers of capture keep the std::function allocation-free.
+    store_.SelectEach(
+        step.pattern,
+        [this, &frame](const trim::Triple& t) {
+          if (!Bind(steps_[frame.depth], t)) return true;
+          if (frame.actuals == nullptr) {
+            Walk(frame.depth + 1);
+            return true;
+          }
+          ++frame.actuals->rows_out;
+          int64_t nested_start = NowNs();
+          Walk(frame.depth + 1);
+          frame.nested_ns += NowNs() - nested_start;
+          return true;
+        },
+        frame.actuals != nullptr ? &stats : nullptr);
+    if (frame.actuals != nullptr) {
+      frame.actuals->wall_ns += NowNs() - start - frame.nested_ns;
+      ++frame.actuals->probes;
+      frame.actuals->rows_examined += stats.examined;
+      frame.actuals->rows_matched += stats.matched;
+    }
+  }
+
+  // Binds the step's free variables from `t`. Subject and property values
+  // are resources; a variable repeated within the clause must agree with
+  // itself, kind included.
+  bool Bind(const ExecStep& step, const trim::Triple& t) {
+    const std::array<Slot, 3> row = {
+        Slot{trim::ObjectKind::kResource, t.subject},
+        Slot{trim::ObjectKind::kResource, t.property},
+        Slot{t.object.kind, t.object.text}};
+    for (size_t f = 0; f < 3; ++f) {
+      if (step.use[f] == Use::kBind) {
+        slots_[step.slot[f]] = row[f];
+      } else if (step.use[f] == Use::kAgree && slots_[step.slot[f]] != row[f]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void Emit() {
+    Binding binding;
+    for (size_t slot = 0; slot < slots_.size(); ++slot) {
+      binding.emplace(names_[slot], BoundValue{slots_[slot].kind,
+                                               std::string(slots_[slot].text)});
+    }
+    out_->push_back(std::move(binding));
+  }
+
+  const trim::TripleStore& store_;
+  std::vector<std::string> names_;  // slot -> variable name
+  std::vector<Slot> slots_;
+  std::vector<ExecStep> steps_;
+  std::vector<Binding>* out_ = nullptr;
+  std::vector<StepActuals>* actuals_ = nullptr;
+};
 
 }  // namespace
 
@@ -550,9 +505,7 @@ std::string Query::ToString() const {
   std::string out;
   for (size_t i = 0; i < clauses_.size(); ++i) {
     if (i) out += " . ";
-    out += TermToString(clauses_[i].subject) + " " +
-           TermToString(clauses_[i].property) + " " +
-           TermToString(clauses_[i].object);
+    out += ClauseText(clauses_[i]);
   }
   return out;
 }
@@ -568,13 +521,12 @@ Result<std::vector<Binding>> Execute(const trim::TripleStore& store,
     SLIM_OBS_COUNT("slim.query.execute.error");
     return Status::InvalidArgument("query has no clauses");
   }
-  // Pin one store snapshot for the whole execution: every SelectEach the
-  // join recursion issues below evaluates at this epoch (reads nest, so
-  // the recursion shares the pin), which means a concurrent writer can
-  // commit mid-query without ever tearing the result set.
+  // Pin one store snapshot for the whole execution: planning and every
+  // SelectEach the join issues evaluate at this epoch, so a concurrent
+  // writer can commit mid-query without ever tearing the result set.
   trim::TripleStore::Snapshot snapshot(store);
-  // When the slow-query sampler is armed, run through the ANALYZE executor
-  // so a query that crosses the threshold leaves its full plan behind.
+  // When the slow-query sampler is armed, run analyzed so a query that
+  // crosses the threshold leaves its full plan behind.
   if (DefaultSlowQueryLog().enabled()) {
     Result<AnalyzedQuery> analyzed = ExplainAnalyze(store, query);
     if (!analyzed.ok()) {
@@ -586,15 +538,13 @@ Result<std::vector<Binding>> Execute(const trim::TripleStore& store,
     span.AddTag("solutions", std::to_string(analyzed->solutions.size()));
     return std::move(analyzed->solutions);
   }
-  std::vector<const QueryClause*> remaining;
-  for (const QueryClause& c : query.clauses()) remaining.push_back(&c);
-  std::vector<Binding> out;
-  Status failure;
-  Search(store, std::move(remaining), Binding{}, &out, &failure);
-  if (!failure.ok()) {
+  Result<QueryPlan> plan = BuildPlan(store, query);
+  if (!plan.ok()) {
     SLIM_OBS_COUNT("slim.query.execute.error");
-    return failure;
+    return plan.status();
   }
+  std::vector<Binding> out;
+  Executor(store, query, *plan).Run(snapshot, &out, nullptr);
   SLIM_OBS_HISTOGRAM("slim.query.solutions", out.size());
   span.AddTag("solutions", std::to_string(out.size()));
   return out;
@@ -615,8 +565,9 @@ Result<QueryPlan> Explain(const trim::TripleStore& store, const Query& query) {
   // One snapshot across all PlanAccess probes keeps the estimates mutually
   // consistent under concurrent writes.
   trim::TripleStore::Snapshot snapshot(store);
-  std::vector<size_t> step_of_clause;
-  return BuildPlan(store, query, &step_of_clause);
+  SLIM_ASSIGN_OR_RETURN(QueryPlan plan, BuildPlan(store, query));
+  RenderText(query, &plan);
+  return plan;
 }
 
 Result<AnalyzedQuery> ExplainAnalyze(const trim::TripleStore& store,
@@ -630,23 +581,26 @@ Result<AnalyzedQuery> ExplainAnalyze(const trim::TripleStore& store,
   // epoch, so ANALYZE's predicted-vs-actual comparison is apples-to-apples
   // even while writers commit.
   trim::TripleStore::Snapshot snapshot(store);
-  std::vector<size_t> step_of_clause;
-  SLIM_ASSIGN_OR_RETURN(QueryPlan plan,
-                        BuildPlan(store, query, &step_of_clause));
-  AnalyzeContext ctx{&plan, &step_of_clause, query.clauses().data()};
-  std::vector<const QueryClause*> remaining;
-  for (const QueryClause& c : query.clauses()) remaining.push_back(&c);
+  SLIM_ASSIGN_OR_RETURN(QueryPlan plan, BuildPlan(store, query));
+  Executor executor(store, query, plan);
+  std::vector<StepActuals> actuals(plan.steps.size());
   std::vector<Binding> out;
-  Status failure;
-  auto run_start = std::chrono::steady_clock::now();
-  SearchAnalyzed(store, std::move(remaining), Binding{}, &out, &failure, &ctx);
-  auto run_end = std::chrono::steady_clock::now();
-  if (!failure.ok()) return failure;
+  int64_t run_start = NowNs();
+  executor.Run(snapshot, &out, &actuals);
+  int64_t run_ns = NowNs() - run_start;
+  // Nanoseconds convert to microseconds once, so sub-microsecond probes
+  // still add up and the steps never sum past the total.
+  for (size_t i = 0; i < plan.steps.size(); ++i) {
+    PlanStep& step = plan.steps[i];
+    step.probes = actuals[i].probes;
+    step.rows_examined = actuals[i].rows_examined;
+    step.rows_matched = actuals[i].rows_matched;
+    step.rows_out = actuals[i].rows_out;
+    step.wall_us = static_cast<uint64_t>(actuals[i].wall_ns / 1000);
+  }
+  RenderText(query, &plan);
   plan.analyzed = true;
-  plan.total_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(run_end -
-                                                            run_start)
-          .count());
+  plan.total_us = static_cast<uint64_t>(run_ns / 1000);
   plan.solutions = out.size();
   span.AddTag("solutions", std::to_string(out.size()));
   return AnalyzedQuery{std::move(plan), std::move(out)};

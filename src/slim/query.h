@@ -15,9 +15,16 @@
 ///
 /// Terms: `?var` variables, `<...>` resources, `"..."` literals, and bare
 /// tokens (resource/property names without angle brackets). Clauses are
-/// separated by '.'. Execution greedily orders clauses by estimated
-/// selectivity and runs an index-nested-loop join, so queries stay fast on
-/// pads of tens of thousands of triples (see bench_query).
+/// separated by '.'.
+///
+/// Every entry point first builds one static plan (the `QueryPlan` that
+/// `Explain` returns): clauses ordered greedily by the store's estimated
+/// candidate rows per probe, given the variables earlier clauses bind, so
+/// a query starts from its most selective clause — a rare literal, not a
+/// bundle with hundreds of children. One index-nested-loop executor then
+/// walks that plan's steps in order, binding variables into slots, for
+/// `Execute`, `ExplainAnalyze` and the slow-query sampler alike
+/// (bench_query and perfbench's consult workload measure it).
 
 #include <map>
 #include <optional>
@@ -95,7 +102,8 @@ class Query {
 /// \brief Evaluates the query; returns all solutions.
 ///
 /// Unknown constants simply produce zero solutions; malformed queries (no
-/// clauses, literal in subject position) produce InvalidArgument.
+/// clauses, a literal in subject or property position of any clause)
+/// produce InvalidArgument before any clause runs.
 Result<std::vector<Binding>> Execute(const trim::TripleStore& store,
                                      const Query& query);
 
@@ -103,15 +111,17 @@ Result<std::vector<Binding>> Execute(const trim::TripleStore& store,
 Result<std::vector<Binding>> ExecuteText(const trim::TripleStore& store,
                                          std::string_view query_text);
 
-/// \brief EXPLAIN: reifies the evaluator's greedy join order without
-/// executing the query — per-step predicted index path and estimated
-/// cardinality (exact when the fixed fields are query constants, an
-/// average-fanout estimate when they are runtime-bound variables).
+/// \brief EXPLAIN: the plan the executor runs, without executing it —
+/// join order, per-step predicted index path and estimated candidate rows
+/// per probe.
 ///
-/// The executor re-picks the cheapest clause at every recursion depth, but
-/// clause cost depends only on *which* variables are bound — identical
-/// along every branch at a given depth — so the order is deterministic and
-/// EXPLAIN's static simulation reproduces it faithfully.
+/// Each step is the remaining clause with the fewest estimated rows given
+/// the variables earlier steps bind: the store's exact count when every
+/// fixed field is a query constant, otherwise the smallest of the fixed
+/// fields' estimates (a constant's exact posting count, a runtime-bound
+/// variable's average index fanout). Ties go to a fixed subject, then
+/// object, then property, then source order. The executor walks exactly
+/// these steps; it never re-orders at run time.
 Result<QueryPlan> Explain(const trim::TripleStore& store, const Query& query);
 
 /// \brief EXPLAIN ANALYZE result: the analyzed plan plus the solutions the
@@ -122,8 +132,10 @@ struct AnalyzedQuery {
 };
 
 /// \brief Executes the query while attributing actual probes, rows
-/// examined/matched/emitted and wall time to each plan step. The final
-/// step's `rows_out` equals `plan.solutions`.
+/// examined/matched/emitted and wall time to each plan step. Same plan,
+/// same executor and same solutions as `Execute`. The final step's
+/// `rows_out` equals `plan.solutions`; a step's `wall_us` is its own probe
+/// time (nested steps excluded), so the steps never sum past `total_us`.
 Result<AnalyzedQuery> ExplainAnalyze(const trim::TripleStore& store,
                                      const Query& query);
 

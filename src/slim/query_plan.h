@@ -5,10 +5,10 @@
 /// \brief Reified query plans: EXPLAIN / EXPLAIN ANALYZE output for the
 /// SLIM query engine.
 ///
-/// The evaluator (slim/query.cc) greedily orders clauses by estimated
-/// selectivity and probes the TRIM indexes; until now that plan was
-/// implicit in counters (`trim.select.index.*`). `QueryPlan` makes it a
-/// first-class value: the join order, the index path each pattern is
+/// The planner (slim/query.cc) greedily orders clauses by estimated
+/// candidate rows and the executor probes the TRIM indexes in that order.
+/// `QueryPlan` is that plan as a first-class value, and the very value the
+/// executor walks: the join order, the index path each pattern is
 /// predicted to take, and estimated cardinalities — plus, in ANALYZE mode,
 /// the actual probes issued, rows examined/matched/emitted and per-pattern
 /// wall time. Plans render as aligned text (for humans) and as a single
@@ -47,7 +47,9 @@ struct PlanStep {
   uint64_t rows_examined = 0;  ///< Live candidates tested against the pattern.
   uint64_t rows_matched = 0;   ///< Pattern matches returned by the store.
   uint64_t rows_out = 0;       ///< Bindings emitted after variable agreement.
-  uint64_t wall_us = 0;        ///< Total wall time inside this step's probes.
+  /// Wall time inside this step's own probes (nested steps excluded),
+  /// summed in nanoseconds and rounded down to microseconds once.
+  uint64_t wall_us = 0;
   /// @}
 };
 

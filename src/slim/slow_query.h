@@ -7,14 +7,15 @@
 /// substrate.
 ///
 /// When a threshold is armed (`set_threshold_us`), `store::Execute` runs
-/// every query through the ANALYZE executor and hands the finished plan to
-/// `MaybeRecord`. A plan at or over the threshold is (1) stored in a
-/// bounded ring readable via `Recent()`, (2) counted into the
-/// `slim.query.slow.*` metric family, (3) emitted as a warn-level log
-/// event carrying the plan JSON — which the flight recorder captures, so a
-/// post-mortem bundle explains the slow query — and (4) offered to the
-/// flight recorder for an on-disk bundle via SLIM_OBS_DUMP_ON_ERROR
-/// semantics (a bundle is written only when a dump path is configured).
+/// every query analyzed (the one executor, with per-step stats on) and
+/// hands the finished plan to `MaybeRecord`. A plan at or over the
+/// threshold is (1) stored in a bounded ring readable via `Recent()`,
+/// (2) counted into the `slim.query.slow.*` metric family, (3) emitted as
+/// a warn-level log event carrying the plan JSON — which the flight
+/// recorder captures, so a post-mortem bundle explains the slow query —
+/// and (4) offered to the flight recorder for an on-disk bundle via
+/// SLIM_OBS_DUMP_ON_ERROR semantics (a bundle is written only when a dump
+/// path is configured).
 ///
 /// The sampler is thread-safe: the threshold is an atomic read on the
 /// query hot path, and the ring takes a mutex only when a slow query is

@@ -56,6 +56,7 @@ std::string StoreStats::ToText() const {
                              std::to_string(property_postings) + " postings");
   line("index object", std::to_string(object_keys) + " keys / " +
                            std::to_string(object_postings) + " postings");
+  line("longest index chain", std::to_string(longest_chain));
   std::string fanout = "max " + std::to_string(predicate_max_fanout);
   if (!predicate_cardinality.empty()) {
     fanout += ";";
@@ -95,6 +96,7 @@ std::string StoreStats::ToJson() const {
   AppendU64("subject_postings", subject_postings, &first, &out);
   AppendU64("property_postings", property_postings, &first, &out);
   AppendU64("object_postings", object_postings, &first, &out);
+  AppendU64("longest_chain", longest_chain, &first, &out);
   AppendU64("predicate_max_fanout", predicate_max_fanout, &first, &out);
   out += ",\"predicate_cardinality\":[";
   for (size_t i = 0; i < predicate_cardinality.size(); ++i) {
@@ -145,6 +147,23 @@ StoreStats ComputeStats(const TripleStore& store) {
   }
   for (const auto& [key, live] : store.object_live_) {
     stats.object_postings += live;
+  }
+  for (const auto& shard : store.shards_) {
+    const TripleStore::ShardGuts* guts =
+        shard.guts.load(std::memory_order_relaxed);
+    if (guts == nullptr) continue;
+    for (const auto* map : {&guts->by_subject, &guts->by_property,
+                            &guts->by_object}) {
+      for (const auto& bucket : map->buckets) {
+        uint64_t chain = 0;
+        for (const TripleStore::IndexNode* n =
+                 bucket.load(std::memory_order_relaxed);
+             n != nullptr; n = n->next) {
+          ++chain;
+        }
+        stats.longest_chain = std::max(stats.longest_chain, chain);
+      }
+    }
   }
   stats.shard_count = TripleStore::kNumShards;
   stats.shard_live.reserve(TripleStore::kNumShards);

@@ -40,6 +40,9 @@ struct StoreStats {
   uint64_t subject_postings = 0;
   uint64_t property_postings = 0;
   uint64_t object_postings = 0;
+  /// Longest key chain in any hash bucket of the three indexes (hash
+  /// backend; zero for interned): a lookup's worst-case key compares.
+  uint64_t longest_chain = 0;
 
   /// Predicate-cardinality histogram: bucket i counts predicates whose
   /// live-triple fanout n satisfies 2^(i-1) < n <= 2^i (bucket 0: n == 1).

@@ -389,12 +389,22 @@ class TripleStore {
   static Record* RecordAt(const ShardGuts& guts, uint32_t slot);
   static bool Visible(const Record& rec, uint64_t snapshot);
   static size_t Bucket(std::string_view key) {
-    // Shards consume the hash's low bits (ShardOf), so within one shard
-    // every key agrees on them; bucket on disjoint high bits or all
-    // chains collapse into kIndexBuckets / kNumShards buckets.
-    return (Fnv1a(key) >> 32) & (kIndexBuckets - 1);
+    // Raw FNV-1a is no good here: its low bits pick the shard (ShardOf),
+    // and its high bits barely depend on a key's last bytes, so sequential
+    // ids ("inst:1", "inst:2", ...) would share a few chains. The finalizer
+    // spreads every input bit over the output.
+    return (Fmix64(Fnv1a(key)) >> 32) & (kIndexBuckets - 1);
   }
   static uint64_t Fnv1a(std::string_view s);
+  /// MurmurHash3's 64-bit finalizer: a bijective avalanche mix.
+  static uint64_t Fmix64(uint64_t h) {
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    return h;
+  }
   static IndexNode* FindNode(const IndexMap& map, std::string_view key);
   /// FindNode with the bucket index precomputed — the bucket depends only
   /// on the key, so cross-shard gathers hash once and probe every shard.

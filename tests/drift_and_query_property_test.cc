@@ -171,6 +171,17 @@ TEST_P(QueryEquivalence, EngineMatchesBruteForce) {
   std::vector<store::Binding> reference = BruteForce(triples, query);
   EXPECT_EQ(Canonical(*engine), Canonical(reference))
       << query.ToString() << " over " << triples.size() << " triples";
+
+  // ANALYZE walks the same plan through the same executor: same answers,
+  // and its last step emits exactly the solutions.
+  auto analyzed = store::ExplainAnalyze(triples, query);
+  ASSERT_TRUE(analyzed.ok()) << query.ToString() << ": " << analyzed.status();
+  EXPECT_EQ(Canonical(analyzed->solutions), Canonical(reference))
+      << query.ToString();
+  ASSERT_FALSE(analyzed->plan.steps.empty());
+  EXPECT_EQ(analyzed->plan.steps.back().rows_out, analyzed->plan.solutions)
+      << query.ToString();
+  EXPECT_EQ(analyzed->plan.solutions, analyzed->solutions.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryEquivalence,

@@ -227,6 +227,82 @@ TEST_F(ExplainJoinTest, RenderedTextAndJsonCarryThePlan) {
   EXPECT_EQ(plain->ToJson().find("\"probes\""), std::string::npos);
 }
 
+// A consult-shaped path: root -> patient -> Electrolyte -> a scrap named by
+// a rare literal -> handle -> mark id. The literal clause matches one
+// triple while root nests four patients, so the plan must start there and
+// then follow the one binding outward, instead of walking every
+// Electrolyte scrap from the root.
+TEST_F(ExplainJoinTest, RareLiteralAnchorsTheJoin) {
+  for (int p = 0; p < 4; ++p) {
+    std::string patient = "patient" + std::to_string(p);
+    std::string lytes = "lytes" + std::to_string(p);
+    ASSERT_TRUE(store_.AddResource("root", "nestedBundle", patient).ok());
+    ASSERT_TRUE(store_.AddResource(patient, "nestedBundle", lytes).ok());
+    ASSERT_TRUE(store_.AddLiteral(lytes, "bundleName", "Electrolyte").ok());
+    for (int s = 0; s < 4; ++s) {
+      std::string scrap = lytes + "_scrap" + std::to_string(s);
+      std::string handle = scrap + "_handle";
+      std::string name =
+          p == 2 && s == 1 ? "Mg 1.9" : "K 4." + std::to_string(s);
+      ASSERT_TRUE(store_.AddResource(lytes, "bundleContent", scrap).ok());
+      ASSERT_TRUE(store_.AddLiteral(scrap, "scrapName", name).ok());
+      ASSERT_TRUE(store_.AddResource(scrap, "scrapMark", handle).ok());
+      ASSERT_TRUE(store_.AddLiteral(handle, "markId", "mark-" + scrap).ok());
+    }
+  }
+  auto q = Query::Parse(
+      "<root> nestedBundle ?p . ?p nestedBundle ?e . ?e bundleContent ?s . "
+      "?s scrapName \"Mg 1.9\" . ?s scrapMark ?h . ?h markId ?m");
+  ASSERT_TRUE(q.ok());
+  auto analyzed = ExplainAnalyze(store_, *q);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  const QueryPlan& plan = analyzed->plan;
+  ASSERT_EQ(plan.steps.size(), 6u);
+  EXPECT_EQ(plan.steps[0].clause_index, 3u) << plan.ToText();
+  EXPECT_EQ(plan.steps[0].estimated_rows, 1u);
+  EXPECT_TRUE(plan.steps[0].estimate_exact);
+
+  ASSERT_EQ(analyzed->solutions.size(), 1u);
+  const Binding& row = analyzed->solutions[0];
+  EXPECT_EQ(row.at("p").text, "patient2");
+  EXPECT_EQ(row.at("e").text, "lytes2");
+  EXPECT_EQ(row.at("s").text, "lytes2_scrap1");
+  EXPECT_EQ(row.at("m").text, "mark-lytes2_scrap1");
+
+  // One probe for the anchor, then at most one per solution for each
+  // further clause; starting from the root would probe all 16 scraps.
+  uint64_t probes = 0;
+  for (const PlanStep& step : plan.steps) probes += step.probes;
+  EXPECT_LE(probes, 1 + (plan.steps.size() - 1) * plan.solutions)
+      << plan.ToText();
+  auto rows = Execute(store_, *q);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, analyzed->solutions);
+}
+
+// Thousands of sub-microsecond probes must still add up to a visible step
+// time: actuals accumulate in nanoseconds and convert once.
+TEST(ExplainAnalyzeTimingTest, ManyShortProbesAddUp) {
+  TripleStore store;
+  constexpr int kRows = 2000;
+  for (int i = 0; i < kRows; ++i) {
+    std::string n = std::to_string(i);
+    ASSERT_TRUE(store.AddResource("s" + n, "link", "t" + n).ok());
+    ASSERT_TRUE(store.AddLiteral("t" + n, "label", "v" + n).ok());
+  }
+  auto q = Query::Parse("?s link ?t . ?t label ?v");
+  ASSERT_TRUE(q.ok());
+  auto analyzed = ExplainAnalyze(store, *q);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  const QueryPlan& plan = analyzed->plan;
+  ASSERT_EQ(plan.steps.size(), 2u);
+  EXPECT_EQ(plan.steps[1].probes, uint64_t{kRows});
+  EXPECT_GT(plan.steps[1].wall_us, 0u) << plan.ToText();
+  uint64_t step_us = 0;
+  for (const PlanStep& step : plan.steps) step_us += step.wall_us;
+  EXPECT_LE(step_us, plan.total_us) << plan.ToText();
+}
+
 // ---------------------------------------------------------------------------
 // Slow-query sampler.
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/obs.h"
 #include "slim/query.h"
 #include "slimpad/slimpad_dmi.h"
 
@@ -135,6 +136,30 @@ TEST_F(QueryExecTest, NoSolutions) {
 TEST_F(QueryExecTest, LiteralInSubjectPositionRejected) {
   auto rows = ExecuteText(store_, "\"lit\" p ?o");
   EXPECT_TRUE(rows.status().IsInvalidArgument());
+}
+
+// The first clause matches nothing, so a search that checked each clause
+// only on reaching it would return OK with no rows. Every clause is
+// validated before any of them runs, in all three entry points.
+TEST_F(QueryExecTest, LiteralPositionRejectedBeforeAnyClauseRuns) {
+  for (const char* text : {"<no-such> p ?o . \"x\" q ?z",
+                           "<no-such> p ?o . ?s \"lit\" ?z"}) {
+    auto q = Query::Parse(text);
+    ASSERT_TRUE(q.ok()) << text;
+#if SLIM_OBS_ENABLED
+    uint64_t errors_before =
+        obs::DefaultRegistry().CounterValue("slim.query.execute.error");
+#endif
+    EXPECT_TRUE(Execute(store_, *q).status().IsInvalidArgument()) << text;
+#if SLIM_OBS_ENABLED
+    EXPECT_EQ(obs::DefaultRegistry().CounterValue("slim.query.execute.error"),
+              errors_before + 1)
+        << text;
+#endif
+    EXPECT_TRUE(Explain(store_, *q).status().IsInvalidArgument()) << text;
+    EXPECT_TRUE(ExplainAnalyze(store_, *q).status().IsInvalidArgument())
+        << text;
+  }
 }
 
 TEST_F(QueryExecTest, ObjectsDistinguishLiteralFromResource) {

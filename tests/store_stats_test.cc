@@ -72,6 +72,22 @@ TEST(StoreStatsTest, HashBackendTracksTombstones) {
   EXPECT_EQ(stats.predicate_cardinality[0], 0u);  // no fanout-1 predicate left
 }
 
+// Sequential ids differ only in their last bytes; the index buckets must
+// still spread them (16 shards x 1024 buckets, so a fair hash keeps every
+// chain of 8,000 keys short).
+TEST(StoreStatsTest, SequentialSubjectsSpreadOverBuckets) {
+  TripleStore store;
+  for (int i = 0; i < 8000; ++i) {
+    ASSERT_TRUE(store.AddLiteral("inst:" + std::to_string(i), "p", "v").ok());
+  }
+  StoreStats stats = ComputeStats(store);
+  EXPECT_EQ(stats.subject_keys, 8000u);
+  EXPECT_GE(stats.longest_chain, 1u);
+  EXPECT_LE(stats.longest_chain, 8u);
+  EXPECT_NE(stats.ToText().find("longest index chain"), std::string::npos);
+  EXPECT_NE(stats.ToJson().find("\"longest_chain\":"), std::string::npos);
+}
+
 TEST(StoreStatsTest, InternedBackendCounts) {
   InternedTripleStore store;
   Populate(&store);
