@@ -1,10 +1,9 @@
 #include "doc/html/html.h"
 
 #include <cctype>
-#include <fstream>
 #include <set>
-#include <sstream>
 
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace slim::doc::html {
@@ -334,11 +333,7 @@ std::unique_ptr<xml::Document> ParseHtml(std::string_view text) {
 }
 
 Result<std::unique_ptr<xml::Document>> ParseHtmlFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
+  SLIM_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
   return ParseHtml(text);
 }
 

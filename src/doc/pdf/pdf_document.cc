@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace slim::doc::pdf {
@@ -248,12 +249,8 @@ Status PdfDocument::SaveToFile(const std::string& path) const {
 
 Result<std::unique_ptr<PdfDocument>> PdfDocument::LoadFromFile(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  SLIM_ASSIGN_OR_RETURN(std::unique_ptr<PdfDocument> doc,
-                        Deserialize(buf.str()));
+  SLIM_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  SLIM_ASSIGN_OR_RETURN(std::unique_ptr<PdfDocument> doc, Deserialize(text));
   if (doc->file_name().empty()) doc->set_file_name(path);
   return doc;
 }

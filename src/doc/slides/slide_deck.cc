@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace slim::doc::slides {
@@ -229,12 +230,8 @@ Status SlideDeck::SaveToFile(const std::string& path) const {
 
 Result<std::unique_ptr<SlideDeck>> SlideDeck::LoadFromFile(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  SLIM_ASSIGN_OR_RETURN(std::unique_ptr<SlideDeck> deck,
-                        Deserialize(buf.str()));
+  SLIM_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  SLIM_ASSIGN_OR_RETURN(std::unique_ptr<SlideDeck> deck, Deserialize(text));
   if (deck->file_name().empty()) deck->set_file_name(path);
   return deck;
 }

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace slim::doc {
@@ -285,12 +286,8 @@ Status Workbook::SaveToFile(const std::string& path) const {
 
 Result<std::unique_ptr<Workbook>> Workbook::LoadFromFile(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Workbook> wb,
-                        Deserialize(buf.str()));
+  SLIM_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Workbook> wb, Deserialize(text));
   if (wb->file_name().empty()) wb->set_file_name(path);
   return wb;
 }

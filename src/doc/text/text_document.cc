@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace slim::doc::text {
@@ -222,11 +223,8 @@ Status TextDocument::SaveToFile(const std::string& path) const {
 
 Result<std::unique_ptr<TextDocument>> TextDocument::LoadFromFile(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::unique_ptr<TextDocument> doc = Deserialize(buf.str());
+  SLIM_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  std::unique_ptr<TextDocument> doc = Deserialize(text);
   doc->set_file_name(path);
   return doc;
 }

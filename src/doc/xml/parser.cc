@@ -1,312 +1,58 @@
 #include "doc/xml/parser.h"
 
-#include <cctype>
-#include <fstream>
-#include <sstream>
-
+#include "doc/xml/reader.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace slim::doc::xml {
 
-namespace {
-
-bool IsNameStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-}
-bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':' ||
-         c == '-' || c == '.';
-}
-
-// Appends a Unicode code point as UTF-8.
-void AppendUtf8(std::string* out, uint32_t cp) {
-  if (cp < 0x80) {
-    out->push_back(static_cast<char>(cp));
-  } else if (cp < 0x800) {
-    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else if (cp < 0x10000) {
-    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else {
-    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  }
-}
-
-class XmlParser {
- public:
-  XmlParser(std::string_view src, const ParseOptions& options)
-      : src_(src), options_(options) {}
-
-  Result<std::unique_ptr<Document>> Run() {
-    SLIM_RETURN_NOT_OK(SkipProlog());
-    SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Element> root, ParseElement());
-    // Trailing misc (comments, PIs, whitespace).
-    while (i_ < src_.size()) {
-      if (std::isspace(static_cast<unsigned char>(src_[i_]))) {
-        ++i_;
-      } else if (Lookahead("<!--")) {
-        SLIM_RETURN_NOT_OK(SkipComment());
-      } else if (Lookahead("<?")) {
-        SLIM_RETURN_NOT_OK(SkipUntil("?>"));
-      } else {
-        return Error("content after document element");
-      }
-    }
-    auto doc = std::make_unique<Document>();
-    doc->set_root(std::move(root));
-    return doc;
-  }
-
- private:
-  Status Error(const std::string& what) const {
-    size_t line = 1, col = 1;
-    for (size_t j = 0; j < i_ && j < src_.size(); ++j) {
-      if (src_[j] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
-    }
-    return Status::ParseError("XML " + std::to_string(line) + ":" +
-                              std::to_string(col) + ": " + what);
-  }
-
-  bool Lookahead(std::string_view s) const {
-    return src_.substr(i_).substr(0, s.size()) == s;
-  }
-
-  Status Expect(std::string_view s) {
-    if (!Lookahead(s)) {
-      return Error("expected '" + std::string(s) + "'");
-    }
-    i_ += s.size();
-    return Status::OK();
-  }
-
-  void SkipSpace() {
-    while (i_ < src_.size() &&
-           std::isspace(static_cast<unsigned char>(src_[i_]))) {
-      ++i_;
-    }
-  }
-
-  Status SkipUntil(std::string_view terminator) {
-    size_t pos = src_.find(terminator, i_);
-    if (pos == std::string_view::npos) {
-      return Error("unterminated construct (missing '" +
-                   std::string(terminator) + "')");
-    }
-    i_ = pos + terminator.size();
-    return Status::OK();
-  }
-
-  Status SkipComment() {
-    i_ += 4;  // "<!--"
-    return SkipUntil("-->");
-  }
-
-  Status SkipProlog() {
-    while (i_ < src_.size()) {
-      SkipSpace();
-      if (Lookahead("<?")) {
-        SLIM_RETURN_NOT_OK(SkipUntil("?>"));
-      } else if (Lookahead("<!--")) {
-        SLIM_RETURN_NOT_OK(SkipComment());
-      } else if (Lookahead("<!DOCTYPE")) {
-        // Skip to matching '>' (internal subsets with nested brackets).
-        int depth = 0;
-        while (i_ < src_.size()) {
-          char c = src_[i_++];
-          if (c == '[') ++depth;
-          else if (c == ']') --depth;
-          else if (c == '>' && depth == 0) break;
-        }
-      } else {
-        return Status::OK();
-      }
-    }
-    return Error("no document element");
-  }
-
-  Result<std::string> ParseName() {
-    if (i_ >= src_.size() || !IsNameStart(src_[i_])) {
-      return Error("expected a name");
-    }
-    size_t start = i_;
-    while (i_ < src_.size() && IsNameChar(src_[i_])) ++i_;
-    return std::string(src_.substr(start, i_ - start));
-  }
-
-  // Decodes entity/char references in `raw` into plain text.
-  Result<std::string> DecodeText(std::string_view raw) {
-    std::string out;
-    out.reserve(raw.size());
-    for (size_t j = 0; j < raw.size(); ++j) {
-      if (raw[j] != '&') {
-        out.push_back(raw[j]);
-        continue;
-      }
-      size_t semi = raw.find(';', j);
-      if (semi == std::string_view::npos) {
-        return Error("unterminated entity reference");
-      }
-      std::string_view ent = raw.substr(j + 1, semi - j - 1);
-      if (ent == "lt") out.push_back('<');
-      else if (ent == "gt") out.push_back('>');
-      else if (ent == "amp") out.push_back('&');
-      else if (ent == "quot") out.push_back('"');
-      else if (ent == "apos") out.push_back('\'');
-      else if (!ent.empty() && ent[0] == '#') {
-        uint32_t cp = 0;
-        bool ok = false;
-        if (ent.size() > 2 && (ent[1] == 'x' || ent[1] == 'X')) {
-          for (size_t k = 2; k < ent.size(); ++k) {
-            char c = ent[k];
-            uint32_t digit;
-            if (c >= '0' && c <= '9') digit = static_cast<uint32_t>(c - '0');
-            else if (c >= 'a' && c <= 'f') digit = static_cast<uint32_t>(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F') digit = static_cast<uint32_t>(c - 'A' + 10);
-            else { ok = false; break; }
-            cp = cp * 16 + digit;
-            ok = true;
-          }
-        } else {
-          for (size_t k = 1; k < ent.size(); ++k) {
-            char c = ent[k];
-            if (c < '0' || c > '9') { ok = false; break; }
-            cp = cp * 10 + static_cast<uint32_t>(c - '0');
-            ok = true;
-          }
-        }
-        if (!ok || cp > 0x10FFFF) {
-          return Error("bad character reference '&" + std::string(ent) + ";'");
-        }
-        AppendUtf8(&out, cp);
-      } else {
-        return Error("unknown entity '&" + std::string(ent) + ";'");
-      }
-      j = semi;
-    }
-    return out;
-  }
-
-  Result<std::unique_ptr<Element>> ParseElement() {
-    SLIM_RETURN_NOT_OK(Expect("<"));
-    SLIM_ASSIGN_OR_RETURN(std::string name, ParseName());
-    auto elem = std::make_unique<Element>(name);
-
-    // Attributes.
-    while (true) {
-      SkipSpace();
-      if (i_ >= src_.size()) return Error("unterminated start tag");
-      if (Lookahead("/>")) {
-        i_ += 2;
-        return elem;
-      }
-      if (Lookahead(">")) {
-        ++i_;
-        break;
-      }
-      SLIM_ASSIGN_OR_RETURN(std::string attr_name, ParseName());
-      SkipSpace();
-      SLIM_RETURN_NOT_OK(Expect("="));
-      SkipSpace();
-      if (i_ >= src_.size() || (src_[i_] != '"' && src_[i_] != '\'')) {
-        return Error("attribute value must be quoted");
-      }
-      char quote = src_[i_++];
-      size_t vstart = i_;
-      while (i_ < src_.size() && src_[i_] != quote) ++i_;
-      if (i_ >= src_.size()) return Error("unterminated attribute value");
-      SLIM_ASSIGN_OR_RETURN(std::string value,
-                            DecodeText(src_.substr(vstart, i_ - vstart)));
-      ++i_;  // closing quote
-      if (elem->FindAttribute(attr_name) != nullptr) {
-        return Error("duplicate attribute '" + attr_name + "'");
-      }
-      elem->SetAttribute(attr_name, std::move(value));
-    }
-
-    // Content.
-    while (true) {
-      if (i_ >= src_.size()) {
-        return Error("unterminated element '" + name + "'");
-      }
-      if (Lookahead("</")) {
-        i_ += 2;
-        SLIM_ASSIGN_OR_RETURN(std::string end_name, ParseName());
-        if (end_name != name) {
-          return Error("mismatched end tag </" + end_name + "> for <" + name +
-                       ">");
-        }
-        SkipSpace();
-        SLIM_RETURN_NOT_OK(Expect(">"));
-        return elem;
-      }
-      if (Lookahead("<!--")) {
-        size_t cstart = i_ + 4;
-        size_t cend = src_.find("-->", cstart);
-        if (cend == std::string_view::npos) return Error("unterminated comment");
-        if (options_.keep_comments) {
-          elem->AddComment(std::string(src_.substr(cstart, cend - cstart)));
-        }
-        i_ = cend + 3;
-        continue;
-      }
-      if (Lookahead("<![CDATA[")) {
-        size_t cstart = i_ + 9;
-        size_t cend = src_.find("]]>", cstart);
-        if (cend == std::string_view::npos) return Error("unterminated CDATA");
-        elem->AddCData(std::string(src_.substr(cstart, cend - cstart)));
-        i_ = cend + 3;
-        continue;
-      }
-      if (Lookahead("<?")) {
-        SLIM_RETURN_NOT_OK(SkipUntil("?>"));
-        continue;
-      }
-      if (Lookahead("<")) {
-        SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Element> child, ParseElement());
-        elem->AddChild(std::move(child));
-        continue;
-      }
-      // Text run.
-      size_t tstart = i_;
-      while (i_ < src_.size() && src_[i_] != '<') ++i_;
-      SLIM_ASSIGN_OR_RETURN(std::string text,
-                            DecodeText(src_.substr(tstart, i_ - tstart)));
-      if (!options_.strip_whitespace_text || !Trim(text).empty()) {
-        elem->AddText(std::move(text));
-      }
-    }
-  }
-
-  std::string_view src_;
-  ParseOptions options_;
-  size_t i_ = 0;
-};
-
-}  // namespace
-
 Result<std::unique_ptr<Document>> ParseXml(std::string_view text,
                                            const ParseOptions& options) {
-  XmlParser parser(text, options);
-  return parser.Run();
+  Reader reader(text, options.keep_comments);
+  std::unique_ptr<Element> root;
+  Element* current = nullptr;  // innermost open element
+  while (true) {
+    SLIM_RETURN_NOT_OK(reader.Next());
+    switch (reader.kind()) {
+      case TokenKind::kStartTag: {
+        auto elem = std::make_unique<Element>(std::string(reader.name()));
+        for (const AttributeView& a : reader.attributes()) {
+          elem->SetAttribute(a.name, std::string(a.value));
+        }
+        if (current == nullptr) {
+          root = std::move(elem);
+          current = root.get();
+        } else {
+          current = static_cast<Element*>(current->AddChild(std::move(elem)));
+        }
+        break;
+      }
+      case TokenKind::kEndTag:
+        current = current->parent();
+        break;
+      case TokenKind::kText:
+        if (!options.strip_whitespace_text || !Trim(reader.text()).empty()) {
+          current->AddText(std::string(reader.text()));
+        }
+        break;
+      case TokenKind::kCData:
+        current->AddCData(std::string(reader.text()));
+        break;
+      case TokenKind::kComment:
+        current->AddComment(std::string(reader.text()));
+        break;
+      case TokenKind::kEnd: {
+        auto doc = std::make_unique<Document>();
+        doc->set_root(std::move(root));
+        return doc;
+      }
+    }
+  }
 }
 
 Result<std::unique_ptr<Document>> ParseXmlFile(const std::string& path,
                                                const ParseOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
+  SLIM_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
   return ParseXml(text, options);
 }
 

@@ -4,11 +4,13 @@
 /// \file parser.h
 /// \brief Well-formed-XML parser producing a DOM Document.
 ///
-/// Supports: elements, attributes (single/double quoted), text, comments,
-/// CDATA sections, the XML declaration and processing instructions (both
-/// skipped), DOCTYPE (skipped), the five predefined entities and
-/// decimal/hex character references. DTD-defined entities are not supported
-/// (a ParseError results).
+/// ParseXml builds the DOM from the tokens of xml::Reader (reader.h), the
+/// one XML tokenizer, so it accepts exactly the Reader's grammar: elements,
+/// attributes (single/double quoted), text, comments, CDATA sections, the
+/// XML declaration and processing instructions (both skipped), DOCTYPE
+/// (skipped), the five predefined entities and decimal/hex character
+/// references. DTD-defined entities are not supported, and nesting deeper
+/// than kMaxXmlDepth levels is rejected; both give a ParseError.
 
 #include <memory>
 #include <string_view>

@@ -4,35 +4,133 @@
 
 namespace slim::doc::xml {
 
+namespace {
+
+// Appends `s` with XML specials replaced; attribute values also escape the
+// double quote, newline and tab so they survive a round trip.
+void AppendEscaped(std::string_view s, bool attribute, std::string* out) {
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    std::string_view rep;
+    switch (s[i]) {
+      case '<': rep = "&lt;"; break;
+      case '>': rep = "&gt;"; break;
+      case '&': rep = "&amp;"; break;
+      case '"': rep = attribute ? "&quot;" : ""; break;
+      case '\n': rep = attribute ? "&#10;" : ""; break;
+      case '\t': rep = attribute ? "&#9;" : ""; break;
+      default: break;
+    }
+    if (rep.empty()) continue;
+    out->append(s.data() + run, i - run);
+    out->append(rep);
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+}  // namespace
+
+void EscapeText(std::string_view s, std::string* out) {
+  AppendEscaped(s, /*attribute=*/false, out);
+}
+
 std::string EscapeText(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '&': out += "&amp;"; break;
-      default: out.push_back(c);
-    }
-  }
+  EscapeText(s, &out);
   return out;
+}
+
+void EscapeAttribute(std::string_view s, std::string* out) {
+  AppendEscaped(s, /*attribute=*/true, out);
 }
 
 std::string EscapeAttribute(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '&': out += "&amp;"; break;
-      case '"': out += "&quot;"; break;
-      case '\n': out += "&#10;"; break;
-      case '\t': out += "&#9;"; break;
-      default: out.push_back(c);
-    }
-  }
+  EscapeAttribute(s, &out);
   return out;
+}
+
+Writer::Writer(std::string* out, const WriteOptions& options)
+    : out_(out), options_(options) {}
+
+void Writer::Declaration() {
+  out_->append("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+  if (options_.pretty) out_->push_back('\n');
+}
+
+void Writer::Indent(size_t depth) {
+  if (options_.pretty) {
+    out_->append(depth * static_cast<size_t>(options_.indent), ' ');
+  }
+}
+
+void Writer::BeginContent() {
+  if (open_.empty() || open_.back().has_content) return;
+  open_.back().has_content = true;
+  out_->push_back('>');
+  if (options_.pretty && open_.back().block) out_->push_back('\n');
+}
+
+void Writer::Start(std::string_view name, bool block) {
+  BeginContent();
+  Indent(open_.size());
+  out_->push_back('<');
+  out_->append(name);
+  open_.push_back({name, block, false});
+}
+
+void Writer::Attribute(std::string_view name, std::string_view value) {
+  out_->push_back(' ');
+  out_->append(name);
+  out_->append("=\"");
+  EscapeAttribute(value, out_);
+  out_->push_back('"');
+}
+
+template <typename F>
+void Writer::Child(F append) {
+  BeginContent();
+  bool own_line = options_.pretty && !open_.empty() && open_.back().block;
+  if (own_line) Indent(open_.size());
+  append();
+  if (own_line) out_->push_back('\n');
+}
+
+void Writer::Text(std::string_view text) {
+  Child([&] { EscapeText(text, out_); });
+}
+
+void Writer::CData(std::string_view text) {
+  Child([&] {
+    out_->append("<![CDATA[");
+    out_->append(text);
+    out_->append("]]>");
+  });
+}
+
+void Writer::Comment(std::string_view text) {
+  Child([&] {
+    out_->append("<!--");
+    out_->append(text);
+    out_->append("-->");
+  });
+}
+
+void Writer::End() {
+  Frame frame = open_.back();
+  open_.pop_back();
+  if (!frame.has_content) {
+    out_->append("/>");
+  } else {
+    if (options_.pretty && frame.block) Indent(open_.size());
+    out_->append("</");
+    out_->append(frame.name);
+    out_->push_back('>');
+  }
+  if (options_.pretty) out_->push_back('\n');
 }
 
 namespace {
@@ -44,96 +142,42 @@ bool HasElementChildren(const Element& e) {
   return false;
 }
 
-void WriteElement(const Element& e, const WriteOptions& opt, int depth,
-                  std::string* out) {
-  std::string pad =
-      opt.pretty ? std::string(static_cast<size_t>(depth * opt.indent), ' ')
-                 : "";
-  *out += pad;
-  *out += '<';
-  *out += e.name();
-  for (const Attribute& a : e.attributes()) {
-    *out += ' ';
-    *out += a.name;
-    *out += "=\"";
-    *out += EscapeAttribute(a.value);
-    *out += '"';
-  }
-  if (e.children().empty()) {
-    *out += "/>";
-    if (opt.pretty) *out += '\n';
-    return;
-  }
-  *out += '>';
-
-  bool block = HasElementChildren(e);
-  if (opt.pretty && block) *out += '\n';
+void WriteElement(const Element& e, Writer* w) {
+  w->Start(e.name(), HasElementChildren(e));
+  for (const Attribute& a : e.attributes()) w->Attribute(a.name, a.value);
   for (const auto& c : e.children()) {
     switch (c->kind()) {
       case NodeKind::kElement:
-        WriteElement(*static_cast<const Element*>(c.get()), opt, depth + 1,
-                     out);
+        WriteElement(*static_cast<const Element*>(c.get()), w);
         break;
-      case NodeKind::kText: {
-        const auto* t = static_cast<const CharData*>(c.get());
-        if (opt.pretty && block) {
-          *out += std::string(static_cast<size_t>((depth + 1) * opt.indent),
-                              ' ');
-        }
-        *out += EscapeText(t->text());
-        if (opt.pretty && block) *out += '\n';
+      case NodeKind::kText:
+        w->Text(static_cast<const CharData*>(c.get())->text());
         break;
-      }
-      case NodeKind::kCData: {
-        const auto* t = static_cast<const CharData*>(c.get());
-        if (opt.pretty && block) {
-          *out += std::string(static_cast<size_t>((depth + 1) * opt.indent),
-                              ' ');
-        }
-        *out += "<![CDATA[";
-        *out += t->text();
-        *out += "]]>";
-        if (opt.pretty && block) *out += '\n';
+      case NodeKind::kCData:
+        w->CData(static_cast<const CharData*>(c.get())->text());
         break;
-      }
-      case NodeKind::kComment: {
-        const auto* t = static_cast<const CharData*>(c.get());
-        if (opt.pretty && block) {
-          *out += std::string(static_cast<size_t>((depth + 1) * opt.indent),
-                              ' ');
-        }
-        *out += "<!--";
-        *out += t->text();
-        *out += "-->";
-        if (opt.pretty && block) *out += '\n';
+      case NodeKind::kComment:
+        w->Comment(static_cast<const CharData*>(c.get())->text());
         break;
-      }
     }
   }
-  if (opt.pretty && block) *out += pad;
-  *out += "</";
-  *out += e.name();
-  *out += '>';
-  if (opt.pretty) *out += '\n';
+  w->End();
 }
 
 }  // namespace
 
 std::string WriteXml(const Element& elem, const WriteOptions& options) {
   std::string out;
-  WriteElement(elem, options, 0, &out);
+  Writer w(&out, options);
+  WriteElement(elem, &w);
   return out;
 }
 
 std::string WriteXml(const Document& doc, const WriteOptions& options) {
   std::string out;
-  if (options.declaration) {
-    out += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
-    if (options.pretty) out += '\n';
-  }
-  if (doc.root() != nullptr) {
-    WriteElement(*doc.root(), options, 0, &out);
-  }
+  Writer w(&out, options);
+  if (options.declaration) w.Declaration();
+  if (doc.root() != nullptr) WriteElement(*doc.root(), &w);
   return out;
 }
 

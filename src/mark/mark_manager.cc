@@ -1,11 +1,13 @@
 #include "mark/mark_manager.h"
 
-#include <fstream>
-#include <sstream>
+#include <functional>
+#include <optional>
+#include <unordered_set>
 
-#include "doc/xml/parser.h"
+#include "doc/xml/reader.h"
 #include "doc/xml/writer.h"
 #include "obs/obs.h"
+#include "util/file.h"
 
 namespace slim::mark {
 
@@ -67,13 +69,19 @@ Result<std::string> MarkManager::CreateMarkFromSelection(
   return out;
 }
 
-Status MarkManager::AdoptMark(std::unique_ptr<Mark> mark) {
-  if (mark == nullptr) return Status::InvalidArgument("null mark");
-  const std::string& id = mark->mark_id();
+Status MarkManager::CheckAdoptable(const Mark& mark) const {
+  const std::string& id = mark.mark_id();
   if (id.empty()) return Status::InvalidArgument("mark has empty id");
   if (marks_.count(id)) {
     return Status::AlreadyExists("mark '" + id + "' already exists");
   }
+  return Status::OK();
+}
+
+Status MarkManager::AdoptMark(std::unique_ptr<Mark> mark) {
+  if (mark == nullptr) return Status::InvalidArgument("null mark");
+  SLIM_RETURN_NOT_OK(CheckAdoptable(*mark));
+  const std::string& id = mark->mark_id();
   ids_.ObserveExisting(id);
   marks_[id] = std::move(mark);
   return Status::OK();
@@ -153,73 +161,156 @@ std::vector<std::string> MarkManager::MarkIds() const {
   return out;
 }
 
-std::string MarkManager::ToXml() const {
-  xml::Document doc;
-  auto root = std::make_unique<xml::Element>("marks");
-  for (const auto& [id, m] : marks_) {
-    xml::Element* me = root->AddElement("mark");
-    me->SetAttribute("id", id);
-    me->SetAttribute("type", std::string(m->type()));
+namespace {
+
+// Appends the marks' XML to *out, calling `after_mark` (when set) after each
+// mark so a file save can hand the text off in chunks.
+void WriteMarks(const std::map<std::string, std::unique_ptr<Mark>>& marks,
+                std::string* out, const std::function<void()>& after_mark) {
+  xml::Writer w(out);
+  w.Declaration();
+  w.Start("marks", /*block=*/true);
+  for (const auto& [id, m] : marks) {
+    w.Start("mark", /*block=*/true);
+    w.Attribute("id", id);
+    w.Attribute("type", m->type());
     for (const auto& [name, value] : m->Fields()) {
-      xml::Element* fe = me->AddElement("field");
-      fe->SetAttribute("name", name);
-      fe->SetAttribute("value", value);
+      w.Start("field", /*block=*/false);
+      w.Attribute("name", name);
+      w.Attribute("value", value);
+      w.End();
     }
     if (!m->excerpt().empty()) {
-      me->AddElement("excerpt")->AddText(m->excerpt());
+      w.Start("excerpt", /*block=*/false);
+      w.Text(m->excerpt());
+      w.End();
     }
+    w.End();
+    if (after_mark) after_mark();
   }
-  doc.set_root(std::move(root));
-  return xml::WriteXml(doc);
+  w.End();
+}
+
+// The <mark> being read: its attributes, its direct <field> children and
+// the text of its first direct <excerpt> child.
+struct PendingMark {
+  std::string id;
+  std::string type;
+  MarkFields fields;
+  bool has_excerpt = false;
+  bool in_excerpt = false;
+  std::string excerpt;
+};
+
+}  // namespace
+
+std::string MarkManager::ToXml() const {
+  std::string out;
+  WriteMarks(marks_, &out, nullptr);
+  return out;
 }
 
 Status MarkManager::FromXml(std::string_view xml_text) {
-  xml::ParseOptions opts;
-  opts.strip_whitespace_text = false;
-  SLIM_ASSIGN_OR_RETURN(std::unique_ptr<xml::Document> doc,
-                        xml::ParseXml(xml_text, opts));
-  if (doc->root() == nullptr || doc->root()->name() != "marks") {
-    return Status::ParseError("root element is not <marks>");
+  // Read and check every mark before adopting any. `first_error` is the
+  // first structural error, unknown type, FromFields error or clashing id in
+  // document order; a syntax error anywhere still wins, so reading goes on
+  // to the end.
+  xml::Reader reader(xml_text);
+  std::vector<std::unique_ptr<Mark>> loaded;
+  std::unordered_set<std::string_view> loaded_ids;  // views of loaded ids
+  Status first_error;
+  std::optional<PendingMark> mark;
+  for (bool done = false; !done;) {
+    SLIM_RETURN_NOT_OK(reader.Next());
+    switch (reader.kind()) {
+      case xml::TokenKind::kStartTag:
+        if (reader.depth() == 0) {
+          if (reader.name() != "marks") {
+            first_error = Status::ParseError("root element is not <marks>");
+          }
+        } else if (!first_error.ok()) {
+          // Only the syntax of the rest matters now.
+        } else if (reader.depth() == 1 && reader.name() == "mark") {
+          std::optional<std::string_view> id = reader.FindAttribute("id");
+          std::optional<std::string_view> type = reader.FindAttribute("type");
+          if (!id || !type) {
+            first_error =
+                Status::ParseError("<mark> missing id/type attribute");
+          } else {
+            mark.emplace();
+            mark->id = *id;
+            mark->type = *type;
+          }
+        } else if (reader.depth() == 2 && mark && reader.name() == "field") {
+          std::optional<std::string_view> name = reader.FindAttribute("name");
+          std::optional<std::string_view> value =
+              reader.FindAttribute("value");
+          if (!name || !value) {
+            first_error =
+                Status::ParseError("<field> missing name/value attribute");
+            mark.reset();
+          } else {
+            mark->fields.emplace_back(*name, *value);
+          }
+        } else if (reader.depth() == 2 && mark && reader.name() == "excerpt" &&
+                   !mark->has_excerpt) {
+          mark->has_excerpt = true;
+          mark->in_excerpt = true;
+        }
+        break;
+      case xml::TokenKind::kEndTag:
+        if (!mark) break;
+        if (reader.depth() == 2) {
+          mark->in_excerpt = false;
+        } else if (reader.depth() == 1) {
+          first_error = [&]() -> Status {
+            SLIM_ASSIGN_OR_RETURN(MarkModule * module,
+                                  FindModule(mark->type, "context"));
+            SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Mark> m,
+                                  module->FromFields(mark->id, mark->fields));
+            if (mark->has_excerpt) m->set_excerpt(std::move(mark->excerpt));
+            SLIM_RETURN_NOT_OK(CheckAdoptable(*m));
+            if (loaded_ids.count(m->mark_id())) {
+              return Status::AlreadyExists("mark '" + m->mark_id() +
+                                           "' already exists");
+            }
+            loaded_ids.insert(m->mark_id());
+            loaded.push_back(std::move(m));
+            return Status::OK();
+          }();
+          mark.reset();
+        }
+        break;
+      case xml::TokenKind::kText:
+      case xml::TokenKind::kCData:
+        // The excerpt is all its descendant text (DOM InnerText).
+        if (mark && mark->in_excerpt) mark->excerpt += reader.text();
+        break;
+      case xml::TokenKind::kComment:
+        break;
+      case xml::TokenKind::kEnd:
+        done = true;
+        break;
+    }
   }
-  for (xml::Element* me : doc->root()->ChildElements("mark")) {
-    const std::string* id = me->FindAttribute("id");
-    const std::string* type = me->FindAttribute("type");
-    if (id == nullptr || type == nullptr) {
-      return Status::ParseError("<mark> missing id/type attribute");
-    }
-    MarkFields fields;
-    for (xml::Element* fe : me->ChildElements("field")) {
-      const std::string* name = fe->FindAttribute("name");
-      const std::string* value = fe->FindAttribute("value");
-      if (name == nullptr || value == nullptr) {
-        return Status::ParseError("<field> missing name/value attribute");
-      }
-      fields.push_back({*name, *value});
-    }
-    SLIM_ASSIGN_OR_RETURN(MarkModule * module, FindModule(*type, "context"));
-    SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Mark> m,
-                          module->FromFields(*id, fields));
-    xml::Element* excerpt = me->FirstChild("excerpt");
-    if (excerpt != nullptr) m->set_excerpt(excerpt->InnerText());
-    SLIM_RETURN_NOT_OK(AdoptMark(std::move(m)));
+  if (!first_error.ok()) return first_error;
+  for (std::unique_ptr<Mark>& m : loaded) {
+    const std::string& id = m->mark_id();
+    ids_.ObserveExisting(id);
+    marks_[id] = std::move(m);
   }
   return Status::OK();
 }
 
 Status MarkManager::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open '" + path + "' for writing");
-  out << ToXml();
-  if (!out.good()) return Status::IoError("write failed for '" + path + "'");
-  return Status::OK();
+  FileReplacer file(path);
+  WriteMarks(marks_, file.buffer(), [&file] { file.WriteIfFull(); });
+  return file.Commit();
 }
 
 Status MarkManager::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return FromXml(buf.str());
+  SLIM_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  return FromXml(text);
 }
 
 }  // namespace slim::mark

@@ -72,14 +72,28 @@ class MarkManager {
   std::vector<std::string> MarkIds() const;
 
   /// \name Persistence (XML, like the rest of the superimposed layer).
+  /// The format is `<marks>` holding one `<mark id= type=>` per mark, with
+  /// `<field name= value=/>` children and an optional `<excerpt>`. Files are
+  /// written and read as a stream through xml::Writer and xml::Reader; no
+  /// DOM is built.
   /// @{
   std::string ToXml() const;
+  /// Adds the marks of `xml_text`, all or nothing: every mark is read and
+  /// checked first (syntax, structure, registered type, FromFields, ids
+  /// repeated in the text or already held), and on any error no mark is
+  /// adopted. A syntax error anywhere is reported before other errors;
+  /// otherwise the first problem in document order is.
   Status FromXml(std::string_view xml_text);
+  /// Writes ToXml() crash-safely: to `<path>.tmp`, fsynced, then renamed
+  /// over `path`. On failure the old file is untouched.
   Status SaveToFile(const std::string& path) const;
+  /// Reads a file and adds its marks as FromXml does.
   Status LoadFromFile(const std::string& path);
   /// @}
 
  private:
+  /// AdoptMark's checks: a non-empty id that is not held yet.
+  Status CheckAdoptable(const Mark& mark) const;
   Result<MarkModule*> FindModule(std::string_view mark_type,
                                  std::string_view resolver) const;
 

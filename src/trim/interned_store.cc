@@ -4,8 +4,9 @@
 #include <cstring>
 #include <fstream>
 #include <queue>
-#include <sstream>
 #include <unordered_set>
+
+#include "util/file.h"
 
 namespace slim::trim {
 
@@ -424,11 +425,7 @@ Status InternedTripleStore::SaveBinary(const std::string& path) const {
 
 Result<InternedTripleStore> InternedTripleStore::LoadBinary(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string data = buf.str();
+  SLIM_ASSIGN_OR_RETURN(std::string data, ReadFile(path));
   return DeserializeBinary(data);
 }
 

@@ -15,6 +15,10 @@
 ///       <trim:resource>scrap4</trim:resource>
 ///     </trim:statement>
 ///   </trim:store>
+///
+/// Files are written and read as a stream through xml::Writer and
+/// xml::Reader; no DOM is built either way. Saves are crash-safe and loads
+/// are all-or-nothing.
 
 #include <string>
 
@@ -26,14 +30,24 @@ namespace slim::trim {
 /// Serializes every triple in the store to XML text.
 std::string StoreToXml(const TripleStore& store);
 
-/// Parses XML text produced by StoreToXml into `store` (which is cleared
-/// first). Duplicate statements in the file are an error.
+/// Parses XML text produced by StoreToXml and replaces the contents of
+/// `store` with its statements. All or nothing: the whole text is checked
+/// first (syntax, structure, empty subjects/properties, statements repeated
+/// in the file), and on any error the store is unchanged. A syntax error
+/// anywhere is reported before a structural one; otherwise the first
+/// problem in document order is. The replacement is one ApplyBatch (one
+/// epoch), so a concurrent reader sees the old contents or the loaded ones,
+/// never a mix.
 Status StoreFromXml(std::string_view xml_text, TripleStore* store);
 
-/// Writes the store to a file.
+/// Writes the store to a file, crash-safely: the XML is streamed to
+/// `<path>.tmp` in chunks, fsynced, then renamed over `path`. On failure
+/// the temp file is removed, an IoError returned and any old file is left
+/// untouched.
 Status SaveStore(const TripleStore& store, const std::string& path);
 
-/// Loads a store from a file (clears `store` first).
+/// Loads a store from a file, replacing its contents (all or nothing, as
+/// StoreFromXml).
 Status LoadStore(const std::string& path, TripleStore* store);
 
 }  // namespace slim::trim

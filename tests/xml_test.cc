@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <regex>
+
 #include "doc/xml/dom.h"
 #include "doc/xml/parser.h"
 #include "doc/xml/path.h"
@@ -106,6 +108,38 @@ TEST(XmlParseTest, ErrorIncludesLineAndColumn) {
   Status st = ParseXml("<a>\n<b></c>\n</a>").status();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("2:"), std::string::npos) << st;
+}
+
+TEST(XmlParseTest, MalformedInputIsAParseErrorWithLineAndColumn) {
+  struct Case {
+    const char* what;
+    const char* text;
+  };
+  const Case cases[] = {
+      {"mismatched end tag", "<a>\n<b></c>\n</a>"},
+      {"unterminated comment", "<a><!-- open</a>"},
+      {"unterminated CDATA", "<a><![CDATA[ open</a>"},
+      {"unterminated PI", "<a><?pi open</a>"},
+      {"unterminated attribute", "<a x=\"open/>"},
+      {"unterminated start tag", "<a x=\"1\""},
+      {"bad character reference", "<a>&#xZZ;</a>"},
+      {"unknown entity", "<a>&nope;</a>"},
+      {"unterminated entity", "<a x=\"&amp\"/>"},
+      {"duplicate attribute", "<a x=\"1\" x=\"2\"/>"},
+      {"content after the root", "<a/>\n<b/>"},
+      {"no root", "<?xml version=\"1.0\"?><!-- only a comment -->"},
+  };
+  const std::regex prefix(R"(^XML \d+:\d+: )");
+  for (const Case& c : cases) {
+    Status st = ParseXml(c.text).status();
+    EXPECT_TRUE(st.IsParseError()) << c.what << ": " << st;
+    EXPECT_TRUE(std::regex_search(st.message(), prefix))
+        << c.what << ": " << st;
+  }
+  EXPECT_EQ(ParseXml("<a>\n<b></c>\n</a>").status().message(),
+            "XML 2:7: mismatched end tag </c> for <b>");
+  EXPECT_EQ(ParseXml("<a/>\n<b/>").status().message(),
+            "XML 2:1: content after document element");
 }
 
 TEST(XmlWriteTest, EscapesSpecials) {
