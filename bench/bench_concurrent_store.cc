@@ -1,4 +1,4 @@
-// Concurrent read scaling of the sharded, epoch-snapshotted TripleStore
+// Concurrent read scaling of the epoch-snapshotted TripleStore
 // (trim/triple_store.h, DESIGN.md §10): 1/2/4/8 reader threads run
 // snapshot-pinned selections while ONE background writer keeps committing
 // batches the whole time. Because readers never take `trim.store.write` —
@@ -63,7 +63,7 @@ namespace slim::trim {
 namespace {
 
 constexpr int kHotRows = 256;       // rows under the hot property
-constexpr int kBackdrop = 4096;     // unrelated triples across all shards
+constexpr int kBackdrop = 4096;     // unrelated triples around the hot rows
 constexpr int kChurnSubjects = 8;   // subjects the writer churns
 constexpr int kBatchPairs = 256;    // remove+add pairs per ingest commit
 constexpr int kChainLength = 64;    // reachability chain for ViewFrom

@@ -1,5 +1,6 @@
 #include "doc/spreadsheet/formula.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
@@ -228,15 +229,22 @@ class Parser {
   explicit Parser(std::vector<Token> toks) : toks_(std::move(toks)) {}
 
   Result<std::unique_ptr<Expr>> Run() {
-    SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> e, ParseCompare());
+    SLIM_ASSIGN_OR_RETURN(Node n, ParseCompare());
     if (Peek().kind != TokKind::kEnd) {
       return Status::ParseError("trailing input at position " +
                                 std::to_string(Peek().pos));
     }
-    return e;
+    return std::move(n.expr);
   }
 
  private:
+  /// A parsed subtree and its depth (a leaf is 1), kept within
+  /// kMaxFormulaDepth.
+  struct Node {
+    std::unique_ptr<Expr> expr;
+    size_t depth = 1;
+  };
+
   const Token& Peek() const { return toks_[i_]; }
   Token Take() { return toks_[i_++]; }
   bool Accept(TokKind k) {
@@ -247,8 +255,30 @@ class Parser {
     return false;
   }
 
-  Result<std::unique_ptr<Expr>> ParseCompare() {
-    SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseConcat());
+  Status TooDeep() const {
+    return Status::ParseError("formula nested deeper than " +
+                              std::to_string(kMaxFormulaDepth) +
+                              " levels at position " +
+                              std::to_string(Peek().pos));
+  }
+
+  // Runs `parse` one level of parser nesting deeper.
+  Result<Node> Nested(Result<Node> (Parser::*parse)()) {
+    if (nesting_ == kMaxFormulaDepth) return TooDeep();
+    ++nesting_;
+    Result<Node> n = (this->*parse)();
+    --nesting_;
+    return n;
+  }
+
+  // Wraps `e` over children of the given depth.
+  Result<Node> Wrap(std::unique_ptr<Expr> e, size_t child_depth) const {
+    if (child_depth + 1 > kMaxFormulaDepth) return TooDeep();
+    return Node{std::move(e), child_depth + 1};
+  }
+
+  Result<Node> ParseCompare() {
+    SLIM_ASSIGN_OR_RETURN(Node lhs, ParseConcat());
     while (true) {
       BinaryOp op;
       switch (Peek().kind) {
@@ -261,91 +291,96 @@ class Parser {
         default: return lhs;
       }
       Take();
-      SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseConcat());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
+      SLIM_ASSIGN_OR_RETURN(Node rhs, ParseConcat());
+      SLIM_ASSIGN_OR_RETURN(lhs,
+                            MakeBinary(op, std::move(lhs), std::move(rhs)));
     }
   }
 
-  Result<std::unique_ptr<Expr>> ParseConcat() {
-    SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseAdd());
+  Result<Node> ParseConcat() {
+    SLIM_ASSIGN_OR_RETURN(Node lhs, ParseAdd());
     while (Accept(TokKind::kAmp)) {
-      SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseAdd());
-      lhs = MakeBinary(BinaryOp::kConcat, std::move(lhs), std::move(rhs));
+      SLIM_ASSIGN_OR_RETURN(Node rhs, ParseAdd());
+      SLIM_ASSIGN_OR_RETURN(lhs, MakeBinary(BinaryOp::kConcat, std::move(lhs),
+                                            std::move(rhs)));
     }
     return lhs;
   }
 
-  Result<std::unique_ptr<Expr>> ParseAdd() {
-    SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseMul());
+  Result<Node> ParseAdd() {
+    SLIM_ASSIGN_OR_RETURN(Node lhs, ParseMul());
     while (true) {
+      BinaryOp op;
       if (Accept(TokKind::kPlus)) {
-        SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseMul());
-        lhs = MakeBinary(BinaryOp::kAdd, std::move(lhs), std::move(rhs));
+        op = BinaryOp::kAdd;
       } else if (Accept(TokKind::kMinus)) {
-        SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseMul());
-        lhs = MakeBinary(BinaryOp::kSub, std::move(lhs), std::move(rhs));
+        op = BinaryOp::kSub;
       } else {
         return lhs;
       }
+      SLIM_ASSIGN_OR_RETURN(Node rhs, ParseMul());
+      SLIM_ASSIGN_OR_RETURN(lhs,
+                            MakeBinary(op, std::move(lhs), std::move(rhs)));
     }
   }
 
-  Result<std::unique_ptr<Expr>> ParseMul() {
-    SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParsePower());
+  Result<Node> ParseMul() {
+    SLIM_ASSIGN_OR_RETURN(Node lhs, ParsePower());
     while (true) {
+      BinaryOp op;
       if (Accept(TokKind::kStar)) {
-        SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParsePower());
-        lhs = MakeBinary(BinaryOp::kMul, std::move(lhs), std::move(rhs));
+        op = BinaryOp::kMul;
       } else if (Accept(TokKind::kSlash)) {
-        SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParsePower());
-        lhs = MakeBinary(BinaryOp::kDiv, std::move(lhs), std::move(rhs));
+        op = BinaryOp::kDiv;
       } else {
         return lhs;
       }
+      SLIM_ASSIGN_OR_RETURN(Node rhs, ParsePower());
+      SLIM_ASSIGN_OR_RETURN(lhs,
+                            MakeBinary(op, std::move(lhs), std::move(rhs)));
     }
   }
 
   // Spreadsheet precedence quirk: unary minus binds tighter than '^', so
   // -2^2 evaluates to (-2)^2 = 4. '^' is right associative.
-  Result<std::unique_ptr<Expr>> ParsePower() {
-    SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseUnary());
+  Result<Node> ParsePower() {
+    SLIM_ASSIGN_OR_RETURN(Node lhs, ParseUnary());
     if (Accept(TokKind::kCaret)) {
-      SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParsePower());
+      SLIM_ASSIGN_OR_RETURN(Node rhs, Nested(&Parser::ParsePower));
       return MakeBinary(BinaryOp::kPow, std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
-  Result<std::unique_ptr<Expr>> ParseUnary() {
-    if (Accept(TokKind::kMinus)) {
-      SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> operand, ParseUnary());
-      auto e = std::make_unique<Expr>();
-      e->kind = ExprKind::kUnaryMinus;
-      e->lhs = std::move(operand);
-      return e;
-    }
-    if (Accept(TokKind::kPlus)) return ParseUnary();  // unary plus: no-op
-    return ParsePrimary();
+  Result<Node> ParseUnary() {
+    bool minus = Accept(TokKind::kMinus);
+    if (!minus && !Accept(TokKind::kPlus)) return ParsePrimary();
+    SLIM_ASSIGN_OR_RETURN(Node operand, Nested(&Parser::ParseUnary));
+    if (!minus) return operand;  // unary plus: no-op
+    auto e = std::make_unique<Expr>();
+    e->kind = ExprKind::kUnaryMinus;
+    e->lhs = std::move(operand.expr);
+    return Wrap(std::move(e), operand.depth);
   }
 
-  Result<std::unique_ptr<Expr>> ParsePrimary() {
+  Result<Node> ParsePrimary() {
     const Token& t = Peek();
     switch (t.kind) {
       case TokKind::kNumber: {
         auto e = std::make_unique<Expr>();
         e->kind = ExprKind::kNumber;
         e->number = Take().number;
-        return e;
+        return Node{std::move(e)};
       }
       case TokKind::kString: {
         auto e = std::make_unique<Expr>();
         e->kind = ExprKind::kString;
         e->text = Take().text;
-        return e;
+        return Node{std::move(e)};
       }
       case TokKind::kLParen: {
         Take();
-        SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> e, ParseCompare());
+        SLIM_ASSIGN_OR_RETURN(Node e, Nested(&Parser::ParseCompare));
         if (!Accept(TokKind::kRParen)) {
           return Status::ParseError("expected ')' at position " +
                                     std::to_string(Peek().pos));
@@ -362,7 +397,7 @@ class Parser {
 
   // Identifier-led production: TRUE/FALSE, function call, cell ref, range,
   // or sheet-qualified ref.
-  Result<std::unique_ptr<Expr>> ParseIdentLed() {
+  Result<Node> ParseIdentLed() {
     Token ident = Take();
     std::string upper = ToUpper(ident.text);
 
@@ -370,7 +405,7 @@ class Parser {
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::kBool;
       e->boolean = (upper == "TRUE");
-      return e;
+      return Node{std::move(e)};
     }
 
     if (Peek().kind == TokKind::kLParen) {
@@ -378,17 +413,19 @@ class Parser {
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::kCall;
       e->callee = upper;
+      size_t args_depth = 0;
       if (!Accept(TokKind::kRParen)) {
         while (true) {
-          SLIM_ASSIGN_OR_RETURN(std::unique_ptr<Expr> arg, ParseCompare());
-          e->args.push_back(std::move(arg));
+          SLIM_ASSIGN_OR_RETURN(Node arg, Nested(&Parser::ParseCompare));
+          args_depth = std::max(args_depth, arg.depth);
+          e->args.push_back(std::move(arg.expr));
           if (Accept(TokKind::kComma)) continue;
           if (Accept(TokKind::kRParen)) break;
           return Status::ParseError("expected ',' or ')' at position " +
                                     std::to_string(Peek().pos));
         }
       }
-      return e;
+      return Wrap(std::move(e), args_depth);
     }
 
     if (Peek().kind == TokKind::kBang) {
@@ -410,9 +447,8 @@ class Parser {
   }
 
   // Parses the optional ':End' range tail, then builds the ref node.
-  Result<std::unique_ptr<Expr>> FinishReference(const std::string& sheet,
-                                                const std::string& start_text,
-                                                size_t pos) {
+  Result<Node> FinishReference(const std::string& sheet,
+                               const std::string& start_text, size_t pos) {
     SLIM_ASSIGN_OR_RETURN(CellRef start, ParseCellOr(start_text, pos));
     if (Accept(TokKind::kColon)) {
       if (Peek().kind != TokKind::kIdent) {
@@ -424,13 +460,13 @@ class Parser {
       e->kind = ExprKind::kRangeRef;
       e->sheet = sheet;
       e->range = RangeRef{start, end}.Normalized();
-      return e;
+      return Node{std::move(e)};
     }
     auto e = std::make_unique<Expr>();
     e->kind = ExprKind::kCellRef;
     e->sheet = sheet;
     e->cell = start;
-    return e;
+    return Node{std::move(e)};
   }
 
   Result<CellRef> ParseCellOr(const std::string& text, size_t pos) {
@@ -442,19 +478,18 @@ class Parser {
     return r;
   }
 
-  static std::unique_ptr<Expr> MakeBinary(BinaryOp op,
-                                          std::unique_ptr<Expr> lhs,
-                                          std::unique_ptr<Expr> rhs) {
+  Result<Node> MakeBinary(BinaryOp op, Node lhs, Node rhs) const {
     auto e = std::make_unique<Expr>();
     e->kind = ExprKind::kBinary;
     e->op = op;
-    e->lhs = std::move(lhs);
-    e->rhs = std::move(rhs);
-    return e;
+    e->lhs = std::move(lhs.expr);
+    e->rhs = std::move(rhs.expr);
+    return Wrap(std::move(e), std::max(lhs.depth, rhs.depth));
   }
 
   std::vector<Token> toks_;
   size_t i_ = 0;
+  size_t nesting_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -58,8 +58,17 @@ struct Expr {
   std::vector<std::unique_ptr<Expr>> args;
 };
 
+/// Deepest formula ParseFormula accepts, counted two ways: parser nesting
+/// (parentheses, call arguments, unary signs, `^` right operands) and the
+/// depth of the returned tree, which also grows by one per operand of a
+/// left-associative chain (a lone literal has depth 1). Every walker of
+/// the tree (evaluate, format, collect references, destroy) recurses on
+/// its depth, so this bound keeps them all off the end of the stack.
+inline constexpr size_t kMaxFormulaDepth = 1000;
+
 /// \brief Parses formula source text. `source` must NOT include the leading
-/// '=' (the worksheet strips it).
+/// '=' (the worksheet strips it). A formula deeper than kMaxFormulaDepth
+/// is a ParseError naming the position.
 Result<std::unique_ptr<Expr>> ParseFormula(std::string_view source);
 
 /// \brief Serializes an AST back to formula text (canonical spacing).

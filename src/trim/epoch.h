@@ -4,7 +4,7 @@
 /// \file epoch.h
 /// \brief Epoch-based reclamation for the concurrent TripleStore.
 ///
-/// The sharded store (triple_store.h) lets readers run entirely lock-free
+/// The triple store (triple_store.h) lets readers run entirely lock-free
 /// against structures that writers keep mutating. The safety protocol is
 /// classic epoch-based reclamation (EBR), specified in DESIGN.md §10:
 ///
@@ -42,8 +42,8 @@ namespace slim::trim {
 
 /// \brief One global epoch domain: counter, reader-slot table, limbo list.
 ///
-/// A TripleStore owns exactly one EpochManager spanning all of its shards,
-/// so one pinned epoch yields one cross-shard-consistent snapshot.
+/// A TripleStore owns exactly one EpochManager, so one pinned epoch yields
+/// one consistent snapshot of its record log and indexes.
 class EpochManager {
  public:
   /// Death epoch of a live record: no snapshot ever reaches it.
@@ -85,7 +85,7 @@ class EpochManager {
   /// `MinPinned() >= safe_epoch`. Callers pass
   ///  - `death_epoch` for record payloads (a reader pinned at or past the
   ///    death epoch can no longer see the record), and
-  ///  - `current() + 1` for replaced structures (spines, shard guts): a
+  ///  - `current() + 1` for replaced structures (spines, store guts): a
   ///    reader pinned at the current epoch may already hold the old
   ///    pointer, so the epoch must advance past it first.
   /// Safe epochs are monotone in retirement order, so FIFO reclamation

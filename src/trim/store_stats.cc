@@ -66,11 +66,7 @@ std::string StoreStats::ToText() const {
     }
   }
   line("predicate fanout", fanout);
-  if (shard_count > 0) {
-    line("shards", std::to_string(shard_count) + " (live max " +
-                       std::to_string(shard_max_live) + " / min " +
-                       std::to_string(shard_min_live) + ", skew x100 " +
-                       std::to_string(shard_skew_x100) + ")");
+  if (backend == "hash") {
     line("epoch", std::to_string(epoch_current) + " (lag " +
                       std::to_string(epoch_lag) + ", limbo " +
                       std::to_string(epoch_limbo) + ", reclaimed " +
@@ -106,16 +102,6 @@ std::string StoreStats::ToJson() const {
   out += "]";
   AppendU64("interned_strings", interned_strings, &first, &out);
   AppendU64("interned_bytes", interned_bytes, &first, &out);
-  AppendU64("shard_count", shard_count, &first, &out);
-  out += ",\"shard_live\":[";
-  for (size_t i = 0; i < shard_live.size(); ++i) {
-    if (i) out += ",";
-    out += std::to_string(shard_live[i]);
-  }
-  out += "]";
-  AppendU64("shard_max_live", shard_max_live, &first, &out);
-  AppendU64("shard_min_live", shard_min_live, &first, &out);
-  AppendU64("shard_skew_x100", shard_skew_x100, &first, &out);
   AppendU64("epoch_current", epoch_current, &first, &out);
   AppendU64("epoch_oldest_pin", epoch_oldest_pin, &first, &out);
   AppendU64("epoch_lag", epoch_lag, &first, &out);
@@ -130,55 +116,39 @@ std::string StoreStats::ToJson() const {
 StoreStats ComputeStats(const TripleStore& store) {
   StoreStats stats;
   stats.backend = "hash";
-  // The global per-key tallies are writer-state: hold the writer lock for
-  // a consistent reading (stats refreshes are rare; the pause is one map
-  // walk, no record scanning).
+  // Node live counts and the dead-record count are writer state: hold the
+  // writer lock for a consistent reading (stats refreshes are rare; the
+  // pause is one walk over the index buckets).
   util::MutexLock lock(&store.write_mu_);
   stats.live_triples = store.live_count_.load(std::memory_order_relaxed);
-  stats.subject_keys = store.subject_live_.size();
-  stats.property_keys = store.property_live_.size();
-  stats.object_keys = store.object_live_.size();
-  for (const auto& [key, live] : store.subject_live_) {
-    stats.subject_postings += live;
-  }
-  for (const auto& [key, live] : store.property_live_) {
-    stats.property_postings += live;
-    RecordFanout(live, &stats);
-  }
-  for (const auto& [key, live] : store.object_live_) {
-    stats.object_postings += live;
-  }
-  for (const auto& shard : store.shards_) {
-    const TripleStore::ShardGuts* guts =
-        shard.guts.load(std::memory_order_relaxed);
-    if (guts == nullptr) continue;
-    for (const auto* map : {&guts->by_subject, &guts->by_property,
-                            &guts->by_object}) {
-      for (const auto& bucket : map->buckets) {
+  stats.tombstoned = store.dead_count_;
+  if (const TripleStore::Guts* guts =
+          store.guts_.load(std::memory_order_relaxed)) {
+    struct Index {
+      const TripleStore::IndexMap& map;
+      uint64_t& keys;
+      uint64_t& postings;
+    };
+    for (const Index& index :
+         {Index{guts->by_subject, stats.subject_keys, stats.subject_postings},
+          Index{guts->by_property, stats.property_keys,
+                stats.property_postings},
+          Index{guts->by_object, stats.object_keys, stats.object_postings}}) {
+      for (const auto& bucket : index.map.buckets) {
         uint64_t chain = 0;
         for (const TripleStore::IndexNode* n =
                  bucket.load(std::memory_order_relaxed);
              n != nullptr; n = n->next) {
           ++chain;
+          uint64_t live = n->live.load(std::memory_order_relaxed);
+          if (live == 0) continue;
+          ++index.keys;
+          index.postings += live;
+          if (&index.map == &guts->by_property) RecordFanout(live, &stats);
         }
         stats.longest_chain = std::max(stats.longest_chain, chain);
       }
     }
-  }
-  stats.shard_count = TripleStore::kNumShards;
-  stats.shard_live.reserve(TripleStore::kNumShards);
-  stats.shard_min_live = UINT64_MAX;
-  for (const auto& shard : store.shards_) {
-    uint64_t live = shard.live.load(std::memory_order_relaxed);
-    stats.tombstoned += shard.dead.load(std::memory_order_relaxed);
-    stats.shard_live.push_back(live);
-    stats.shard_max_live = std::max(stats.shard_max_live, live);
-    stats.shard_min_live = std::min(stats.shard_min_live, live);
-  }
-  if (stats.shard_min_live == UINT64_MAX) stats.shard_min_live = 0;
-  if (stats.live_triples > 0) {
-    stats.shard_skew_x100 =
-        stats.shard_max_live * stats.shard_count * 100 / stats.live_triples;
   }
   EpochManager::Stats epoch = store.epoch_.GetStats();
   stats.epoch_current = epoch.current;
@@ -242,10 +212,6 @@ void PublishStoreStats(const StoreStats& stats,
   set("slim.store.interned.strings", stats.interned_strings);
   set("slim.store.interned.bytes", stats.interned_bytes);
   set("slim.store.approx_bytes", stats.approximate_bytes);
-  set("slim.store.shard.count", stats.shard_count);
-  set("slim.store.shard.max_live", stats.shard_max_live);
-  set("slim.store.shard.min_live", stats.shard_min_live);
-  set("slim.store.shard.skew_x100", stats.shard_skew_x100);
   set("slim.store.epoch.current", stats.epoch_current);
   set("slim.store.epoch.oldest_pin", stats.epoch_oldest_pin);
   set("slim.store.epoch.lag", stats.epoch_lag);

@@ -55,18 +55,6 @@ struct StoreStats {
   uint64_t interned_strings = 0;
   uint64_t interned_bytes = 0;
 
-  /// \name Shard occupancy (hash backend; zero/empty for interned).
-  /// The hash store shards by subject hash; `shard_skew_x100` is the
-  /// hottest shard's live count relative to a perfectly balanced share,
-  /// times 100 (100 = balanced, 1600 = everything on one of 16 shards).
-  /// @{
-  uint64_t shard_count = 0;
-  std::vector<uint64_t> shard_live;
-  uint64_t shard_max_live = 0;
-  uint64_t shard_min_live = 0;
-  uint64_t shard_skew_x100 = 0;
-  /// @}
-
   /// \name Epoch domain (hash backend): snapshot-read lag + limbo debt.
   /// `epoch_lag` is current minus the oldest pinned epoch — a reader
   /// pinned for a long time holds back reclamation by exactly this many
@@ -89,7 +77,9 @@ struct StoreStats {
   std::string ToJson() const;
 };
 
-/// Walks the hash-indexed store. O(live triples + index keys).
+/// Walks the hash-indexed store's index buckets (keys, postings and the
+/// predicate histogram come from each key's live count) plus its live
+/// triples for `approximate_bytes`. Holds the store's writer lock.
 StoreStats ComputeStats(const TripleStore& store);
 
 /// Walks the interned columnar store. O(rows).

@@ -19,24 +19,6 @@ struct WriterCtx {
 };
 thread_local WriterCtx t_writer_ctx;
 
-// Per-key live tally behind DistinctSubjects/Properties/Objects. A free
-// function (not a lambda over members) so the GUARDED_BY check fires at
-// the caller, which holds write_mu_.
-void BumpKeyCount(std::unordered_map<std::string, uint64_t>& map,
-                  const std::string& key, int delta,
-                  std::atomic<uint64_t>& distinct) {
-  if (delta > 0) {
-    if (++map[key] == 1) distinct.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  auto it = map.find(key);
-  if (it == map.end()) return;
-  if (--it->second == 0) {
-    map.erase(it);
-    distinct.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace
 
 std::string TripleToString(const Triple& t) {
@@ -77,12 +59,7 @@ uint64_t TripleStore::Fnv1a(std::string_view s) {
   return h;
 }
 
-size_t TripleStore::ShardOf(std::string_view subject) {
-  return Fnv1a(subject) & (kNumShards - 1);
-}
-
-TripleStore::Record* TripleStore::RecordAt(const ShardGuts& guts,
-                                           uint32_t slot) {
+TripleStore::Record* TripleStore::RecordAt(const Guts& guts, uint32_t slot) {
   Chunk* chunk = guts.chunks[slot / kChunkSize].load(std::memory_order_seq_cst);
   return &chunk->records[slot % kChunkSize];
 }
@@ -95,13 +72,7 @@ bool TripleStore::Visible(const Record& rec, uint64_t snapshot) {
 
 TripleStore::IndexNode* TripleStore::FindNode(const IndexMap& map,
                                               std::string_view key) {
-  return FindNodeAt(map, key, Bucket(key));
-}
-
-TripleStore::IndexNode* TripleStore::FindNodeAt(const IndexMap& map,
-                                                std::string_view key,
-                                                size_t bucket) {
-  for (IndexNode* n = map.buckets[bucket].load(std::memory_order_seq_cst);
+  for (IndexNode* n = map.buckets[Bucket(key)].load(std::memory_order_seq_cst);
        n != nullptr; n = n->next) {
     if (n->key == key) return n;
   }
@@ -119,8 +90,15 @@ TripleStore::IndexNode* TripleStore::FindOrCreateNode(IndexMap& map,
   return node;
 }
 
+bool TripleStore::Post(IndexMap& map, const std::string& key, uint32_t slot,
+                       const Guts& guts) {
+  IndexNode* node = FindOrCreateNode(map, key);
+  AppendPosting(node, slot, guts);
+  return node->live.fetch_add(1, std::memory_order_relaxed) == 0;
+}
+
 void TripleStore::AppendPosting(IndexNode* node, uint32_t slot,
-                                const ShardGuts& guts) {
+                                const Guts& guts) {
   Spine* spine = node->list.spine.load(std::memory_order_relaxed);
   uint64_t used = spine->used.load(std::memory_order_relaxed);
   if (used < spine->slots.size()) {
@@ -151,7 +129,7 @@ void TripleStore::AppendPosting(IndexNode* node, uint32_t slot,
   epoch_.Retire(epoch_.current() + 1, [spine] { delete spine; });
 }
 
-void TripleStore::FreeGuts(ShardGuts* guts) {
+void TripleStore::FreeGuts(Guts* guts) {
   if (guts == nullptr) return;
   for (auto& c : guts->chunks) {
     delete c.load(std::memory_order_relaxed);
@@ -234,9 +212,7 @@ TripleStore::~TripleStore() {
   // is reclaimable, and the drain must run before the guts it references
   // are freed below.
   epoch_.Reclaim();
-  for (Shard& shard : shards_) {
-    FreeGuts(shard.guts.load(std::memory_order_relaxed));
-  }
+  FreeGuts(guts_.load(std::memory_order_relaxed));
 }
 
 // ---------------------------------------------------------------------------
@@ -260,27 +236,20 @@ Status TripleStore::AddLocked(Triple triple, bool allow_duplicates,
     return Status::AlreadyExists("duplicate statement " +
                                  TripleToString(triple));
   }
-  size_t shard_idx = ShardOf(triple.subject);
-  Shard& shard = shards_[shard_idx];
-  ShardGuts* guts = shard.guts.load(std::memory_order_relaxed);
+  Guts* guts = guts_.load(std::memory_order_relaxed);
+  if (guts != nullptr &&
+      guts->size.load(std::memory_order_relaxed) >= kChunkSize * kMaxChunks) {
+    // Log full: force a compaction (drops records no snapshot can see).
+    MaybeCompact(/*force=*/true);
+    guts = guts_.load(std::memory_order_relaxed);
+  }
   if (guts == nullptr) {
-    guts = new ShardGuts();
-    shard.guts.store(guts, std::memory_order_seq_cst);
+    guts = new Guts();
+    guts_.store(guts, std::memory_order_seq_cst);
   }
   uint64_t slot = guts->size.load(std::memory_order_relaxed);
   if (slot >= kChunkSize * kMaxChunks) {
-    // Log full: force a compaction (drops records no snapshot can see) and
-    // retry once.
-    MaybeCompactShard(shard_idx, /*force=*/true);
-    guts = shard.guts.load(std::memory_order_relaxed);
-    if (guts == nullptr) {
-      guts = new ShardGuts();
-      shard.guts.store(guts, std::memory_order_seq_cst);
-    }
-    slot = guts->size.load(std::memory_order_relaxed);
-    if (slot >= kChunkSize * kMaxChunks) {
-      return Status::OutOfRange("triple store shard is full");
-    }
+    return Status::OutOfRange("triple store is full");
   }
   SLIM_OBS_COUNT("trim.add.ok");
   size_t chunk_idx = slot / kChunkSize;
@@ -297,27 +266,18 @@ Status TripleStore::AddLocked(Triple triple, bool allow_duplicates,
 
   const Triple& t = rec.triple;
   uint32_t slot32 = static_cast<uint32_t>(slot);
-  IndexNode* sn = FindOrCreateNode(guts->by_subject, t.subject);
-  AppendPosting(sn, slot32, *guts);
-  sn->live.fetch_add(1, std::memory_order_relaxed);
-  IndexNode* pn = FindOrCreateNode(guts->by_property, t.property);
-  AppendPosting(pn, slot32, *guts);
-  pn->live.fetch_add(1, std::memory_order_relaxed);
-  IndexNode* on = FindOrCreateNode(guts->by_object, t.object.text);
-  AppendPosting(on, slot32, *guts);
-  on->live.fetch_add(1, std::memory_order_relaxed);
-
-  shard.live.fetch_add(1, std::memory_order_relaxed);
+  if (Post(guts->by_subject, t.subject, slot32, *guts)) {
+    distinct_subjects_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (Post(guts->by_property, t.property, slot32, *guts)) {
+    distinct_properties_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (Post(guts->by_object, t.object.text, slot32, *guts)) {
+    distinct_objects_.fetch_add(1, std::memory_order_relaxed);
+  }
   live_count_.fetch_add(1, std::memory_order_relaxed);
-  BumpKeyLive(t, +1);
   ws.MarkDirty();
   return Status::OK();
-}
-
-void TripleStore::BumpKeyLive(const Triple& t, int delta) {
-  BumpKeyCount(subject_live_, t.subject, delta, distinct_subjects_);
-  BumpKeyCount(property_live_, t.property, delta, distinct_properties_);
-  BumpKeyCount(object_live_, t.object.text, delta, distinct_objects_);
 }
 
 Status TripleStore::AddLiteral(std::string subject, std::string property,
@@ -339,10 +299,14 @@ Status TripleStore::Remove(const Triple& triple) {
 }
 
 Status TripleStore::RemoveLocked(const Triple& triple, WriterScope& ws) {
-  size_t shard_idx = ShardOf(triple.subject);
-  Shard& shard = shards_[shard_idx];
-  ShardGuts* guts = shard.guts.load(std::memory_order_relaxed);
+  Guts* guts = guts_.load(std::memory_order_relaxed);
   uint64_t epoch = ws.epoch();
+  // A key whose last live posting goes leaves its Distinct*() count.
+  auto drop = [](IndexNode* node, std::atomic<uint64_t>& distinct) {
+    if (node->live.fetch_sub(1, std::memory_order_relaxed) == 1) {
+      distinct.fetch_sub(1, std::memory_order_relaxed);
+    }
+  };
   if (guts != nullptr) {
     if (IndexNode* sn = FindNode(guts->by_subject, triple.subject)) {
       Spine* spine = sn->list.spine.load(std::memory_order_relaxed);
@@ -352,18 +316,14 @@ Status TripleStore::RemoveLocked(const Triple& triple, WriterScope& ws) {
         if (!Visible(*rec, epoch)) continue;
         if (!(rec->triple == triple)) continue;
         rec->death.store(epoch, std::memory_order_relaxed);
-        sn->live.fetch_sub(1, std::memory_order_relaxed);
-        if (IndexNode* pn = FindNode(guts->by_property, triple.property)) {
-          pn->live.fetch_sub(1, std::memory_order_relaxed);
-        }
-        if (IndexNode* on = FindNode(guts->by_object, triple.object.text)) {
-          on->live.fetch_sub(1, std::memory_order_relaxed);
-        }
-        shard.live.fetch_sub(1, std::memory_order_relaxed);
-        shard.dead.fetch_add(1, std::memory_order_relaxed);
-        shard.max_death_epoch = epoch;
+        // A live record is posted in all three indexes of its guts.
+        drop(sn, distinct_subjects_);
+        drop(FindNode(guts->by_property, triple.property),
+             distinct_properties_);
+        drop(FindNode(guts->by_object, triple.object.text), distinct_objects_);
+        ++dead_count_;
+        max_death_epoch_ = epoch;
         live_count_.fetch_sub(1, std::memory_order_relaxed);
-        BumpKeyLive(triple, -1);
         ws.AddDead(rec);
         ws.MarkDirty();
         SLIM_OBS_COUNT("trim.remove.ok");
@@ -421,11 +381,8 @@ void TripleStore::Clear() {
   {
     WriterScope ws(*this);
     uint64_t epoch = ws.epoch();
-    for (Shard& shard : shards_) {
-      ShardGuts* guts = shard.guts.load(std::memory_order_relaxed);
-      if (guts == nullptr) continue;
+    if (Guts* guts = guts_.load(std::memory_order_relaxed)) {
       uint64_t n = guts->size.load(std::memory_order_relaxed);
-      uint64_t cleared = 0;
       for (uint64_t slot = 0; slot < n; ++slot) {
         Record* rec = RecordAt(*guts, static_cast<uint32_t>(slot));
         if (rec->death.load(std::memory_order_relaxed) !=
@@ -434,19 +391,22 @@ void TripleStore::Clear() {
         }
         rec->death.store(epoch, std::memory_order_relaxed);
         ws.AddDead(rec);
-        ++cleared;
-      }
-      if (cleared > 0) {
-        shard.live.store(0, std::memory_order_relaxed);
-        shard.dead.fetch_add(cleared, std::memory_order_relaxed);
-        shard.max_death_epoch = epoch;
+        ++dead_count_;
+        max_death_epoch_ = epoch;
         ws.MarkDirty();
+      }
+      // Every key loses its live postings with them.
+      for (IndexMap* map :
+           {&guts->by_subject, &guts->by_property, &guts->by_object}) {
+        for (auto& bucket : map->buckets) {
+          for (IndexNode* node = bucket.load(std::memory_order_relaxed);
+               node != nullptr; node = node->next) {
+            node->live.store(0, std::memory_order_relaxed);
+          }
+        }
       }
     }
     live_count_.store(0, std::memory_order_relaxed);
-    subject_live_.clear();
-    property_live_.clear();
-    object_live_.clear();
     distinct_subjects_.store(0, std::memory_order_relaxed);
     distinct_properties_.store(0, std::memory_order_relaxed);
     distinct_objects_.store(0, std::memory_order_relaxed);
@@ -460,25 +420,26 @@ void TripleStore::Clear() {
 // Reclamation & compaction
 // ---------------------------------------------------------------------------
 
-void TripleStore::MaybeCompactShard(size_t shard_idx, bool force) {
-  Shard& shard = shards_[shard_idx];
-  uint64_t dead = shard.dead.load(std::memory_order_relaxed);
+void TripleStore::MaybeCompact(bool force) {
+  uint64_t dead = dead_count_;
   if (dead == 0) return;
-  uint64_t live = shard.live.load(std::memory_order_relaxed);
+  uint64_t live = live_count_.load(std::memory_order_relaxed);
   if (!force && live != 0 &&
       (dead < kCompactDeadFloor || dead < live)) {
     return;
   }
-  // Every dead record in this shard died at or before max_death_epoch; the
+  // Every dead record in the log died at or before max_death_epoch_; the
   // compacted guts may drop them only when no pinned reader can still see
   // any of them.
-  if (epoch_.MinPinned() <= shard.max_death_epoch) return;
-  ShardGuts* old = shard.guts.load(std::memory_order_relaxed);
+  if (epoch_.MinPinned() <= max_death_epoch_) return;
+  Guts* old = guts_.load(std::memory_order_relaxed);
   if (old == nullptr) return;
 
-  ShardGuts* fresh = nullptr;
+  // Rebuilding the indexes from the surviving records carries every key's
+  // live count (and so the Distinct*() counters) over unchanged.
+  Guts* fresh = nullptr;
   if (live != 0) {
-    fresh = new ShardGuts();
+    fresh = new Guts();
     uint64_t n = old->size.load(std::memory_order_relaxed);
     for (uint64_t slot = 0; slot < n; ++slot) {
       Record* rec = RecordAt(*old, static_cast<uint32_t>(slot));
@@ -501,47 +462,27 @@ void TripleStore::MaybeCompactShard(size_t shard_idx, bool force) {
                       std::memory_order_relaxed);
       fresh->size.store(dst_slot + 1, std::memory_order_seq_cst);
       uint32_t slot32 = static_cast<uint32_t>(dst_slot);
-      IndexNode* sn = FindOrCreateNode(fresh->by_subject, dst.triple.subject);
-      AppendPosting(sn, slot32, *fresh);
-      sn->live.fetch_add(1, std::memory_order_relaxed);
-      IndexNode* pn = FindOrCreateNode(fresh->by_property, dst.triple.property);
-      AppendPosting(pn, slot32, *fresh);
-      pn->live.fetch_add(1, std::memory_order_relaxed);
-      IndexNode* on =
-          FindOrCreateNode(fresh->by_object, dst.triple.object.text);
-      AppendPosting(on, slot32, *fresh);
-      on->live.fetch_add(1, std::memory_order_relaxed);
+      Post(fresh->by_subject, dst.triple.subject, slot32, *fresh);
+      Post(fresh->by_property, dst.triple.property, slot32, *fresh);
+      Post(fresh->by_object, dst.triple.object.text, slot32, *fresh);
     }
   }
-  shard.guts.store(fresh, std::memory_order_seq_cst);
-  shard.dead.store(0, std::memory_order_relaxed);
-  shard.max_death_epoch = 0;
+  guts_.store(fresh, std::memory_order_seq_cst);
+  dead_count_ = 0;
+  max_death_epoch_ = 0;
   // Readers pinned at the current epoch may hold the old guts pointer.
   epoch_.Retire(epoch_.current() + 1, [old] { FreeGuts(old); });
 }
 
 void TripleStore::ReclaimLocked() {
-  for (size_t i = 0; i < kNumShards; ++i) {
-    MaybeCompactShard(i);
-  }
+  MaybeCompact();
   epoch_.Reclaim();
 }
 
 size_t TripleStore::ReclaimRetired() {
   util::MutexLock lock(&write_mu_);
-  for (size_t i = 0; i < kNumShards; ++i) {
-    MaybeCompactShard(i);
-  }
+  MaybeCompact();
   return epoch_.Reclaim();
-}
-
-std::array<uint64_t, TripleStore::kNumShards> TripleStore::ShardLiveCounts()
-    const {
-  std::array<uint64_t, kNumShards> out{};
-  for (size_t i = 0; i < kNumShards; ++i) {
-    out[i] = shards_[i].live.load(std::memory_order_relaxed);
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -551,8 +492,7 @@ std::array<uint64_t, TripleStore::kNumShards> TripleStore::ShardLiveCounts()
 bool TripleStore::Contains(const Triple& triple) const {
   ReadPin pin = BeginRead();
   bool found = false;
-  const ShardGuts* guts =
-      shards_[ShardOf(triple.subject)].guts.load(std::memory_order_seq_cst);
+  const Guts* guts = guts_.load(std::memory_order_seq_cst);
   if (guts != nullptr) {
     if (const IndexNode* sn = FindNode(guts->by_subject, triple.subject)) {
       const Spine* spine = sn->list.spine.load(std::memory_order_seq_cst);
@@ -570,110 +510,64 @@ bool TripleStore::Contains(const Triple& triple) const {
   return found;
 }
 
-TripleStore::PathChoice TripleStore::ChoosePath(
-    const TriplePattern& pattern, uint64_t snapshot,
-    const std::array<const ShardGuts*, kNumShards>& guts) const {
+TripleStore::PathChoice TripleStore::ChoosePath(const TriplePattern& pattern,
+                                                uint64_t snapshot,
+                                                const Guts* guts) {
   PathChoice chosen;
   bool have = false;
-  uint64_t best_count = 0;
 
-  // Visible-candidate count + node list for one fixed key. node->live is
-  // the exact per-key live count when quiescent (what the pre-shard store
-  // reported); when it reads 0 the spines are walked so a pinned snapshot
-  // that can still see entries is never short-circuited to kEmpty.
-  auto gather = [&](int field, std::string_view key,
-                    PathChoice& out) -> uint64_t {
-    out.node_count = 0;
-    uint64_t live_sum = 0;
-    auto add_node = [&](const ShardGuts* g, const IndexNode* n) {
-      if (n == nullptr) return;
-      out.nodes[out.node_count] = n;
-      out.node_guts[out.node_count] = g;
-      ++out.node_count;
-      live_sum += n->live.load(std::memory_order_relaxed);
-    };
-    if (field == 0) {
-      const ShardGuts* g = guts[ShardOf(key)];
-      if (g != nullptr) add_node(g, FindNode(g->by_subject, key));
-    } else {
-      size_t bucket = Bucket(key);
-      for (size_t i = 0; i < kNumShards; ++i) {
-        const ShardGuts* g = guts[i];
-        if (g == nullptr) continue;
-        add_node(g, FindNodeAt(field == 1 ? g->by_object : g->by_property,
-                               key, bucket));
-      }
-    }
-    if (live_sum != 0 || out.node_count == 0) return live_sum;
+  // Visible candidates under one fixed key. node->live is the exact live
+  // count when quiescent; when it reads 0 the spine is walked so a pinned
+  // snapshot that can still see entries is never short-circuited to kEmpty.
+  auto count = [&](const IndexNode* node) -> uint64_t {
+    if (node == nullptr) return 0;
+    uint64_t live = node->live.load(std::memory_order_relaxed);
+    if (live != 0) return live;
+    const Spine* spine = node->list.spine.load(std::memory_order_seq_cst);
+    uint64_t used = spine->used.load(std::memory_order_seq_cst);
     uint64_t visible = 0;
-    for (size_t i = 0; i < out.node_count; ++i) {
-      const Spine* spine =
-          out.nodes[i]->list.spine.load(std::memory_order_seq_cst);
-      uint64_t used = spine->used.load(std::memory_order_seq_cst);
-      for (uint64_t j = 0; j < used; ++j) {
-        if (Visible(*RecordAt(*out.node_guts[i], spine->slots[j]), snapshot)) {
-          ++visible;
-        }
-      }
+    for (uint64_t j = 0; j < used; ++j) {
+      if (Visible(*RecordAt(*guts, spine->slots[j]), snapshot)) ++visible;
     }
     return visible;
   };
 
-  // Same consideration order and tie-breaking as the pre-shard store:
-  // subject, then object, then property; a provably-empty key wins
-  // outright; otherwise the strictly smaller candidate list.
-  auto consider = [&](int field, IndexPath path, std::string_view key) {
-    PathChoice candidate;
-    candidate.path = path;
-    uint64_t count = gather(field, key, candidate);
-    if (count == 0) {
-      chosen = PathChoice{};
-      chosen.path = IndexPath::kEmpty;
-      have = true;
+  // Subject, then object, then property: a provably-empty key wins
+  // outright, otherwise the strictly smaller candidate list. Returns true
+  // when no further index is worth probing.
+  auto consider = [&](IndexPath path, IndexMap Guts::*index,
+                      std::string_view key) {
+    const IndexNode* node =
+        guts != nullptr ? FindNode(guts->*index, key) : nullptr;
+    uint64_t n = count(node);
+    if (n == 0) {
+      chosen = PathChoice{IndexPath::kEmpty, 0, nullptr};
       return true;  // can't get more selective than empty
     }
-    if (!have || count < best_count) {
-      candidate.candidates = count;
-      chosen = candidate;
-      best_count = count;
+    if (!have || n < chosen.candidates) {
+      chosen = PathChoice{path, n, node};
       have = true;
     }
-    return false;
+    return chosen.candidates <= kShortList;
   };
 
   if (pattern.subject &&
-      consider(0, IndexPath::kSubject, *pattern.subject)) {
-    return chosen;
-  }
-  // A fixed subject resolves to exactly one shard's node; when its posting
-  // list is already tiny, walking it is cheaper than probing all
-  // kNumShards index maps for the object/property counts. Point reads
-  // (GetOne, Contains-style probes) live on this path.
-  if (pattern.subject && have && best_count <= 64) {
+      consider(IndexPath::kSubject, &Guts::by_subject, *pattern.subject)) {
     return chosen;
   }
   if (pattern.object &&
-      consider(1, IndexPath::kObject, pattern.object->text)) {
-    return chosen;
-  }
-  // Same trade as above: once some path's candidate list is tiny, walking
-  // it beats another kNumShards-wide index probe for the property count.
-  if (have && best_count <= 64) {
+      consider(IndexPath::kObject, &Guts::by_object, pattern.object->text)) {
     return chosen;
   }
   if (pattern.property &&
-      consider(2, IndexPath::kProperty, *pattern.property)) {
+      consider(IndexPath::kProperty, &Guts::by_property, *pattern.property)) {
     return chosen;
   }
   if (!have) {
     // Full scan: candidate count is every published record slot, dead ones
     // included (they are "candidates the path offers" and get filtered).
-    chosen.path = IndexPath::kScan;
-    uint64_t total = 0;
-    for (const ShardGuts* g : guts) {
-      if (g != nullptr) total += g->size.load(std::memory_order_seq_cst);
-    }
-    chosen.candidates = total;
+    chosen.candidates =
+        guts != nullptr ? guts->size.load(std::memory_order_seq_cst) : 0;
   }
   return chosen;
 }
@@ -692,10 +586,7 @@ void TripleStore::SelectEach(const TriplePattern& pattern,
                              SelectStats* stats) const {
   SLIM_OBS_COUNT("trim.select.calls");
   ReadPin pin = BeginRead();
-  std::array<const ShardGuts*, kNumShards> guts;
-  for (size_t i = 0; i < kNumShards; ++i) {
-    guts[i] = shards_[i].guts.load(std::memory_order_seq_cst);
-  }
+  const Guts* guts = guts_.load(std::memory_order_seq_cst);
   PathChoice choice = ChoosePath(pattern, pin.snapshot, guts);
   switch (choice.path) {
     case IndexPath::kSubject: SLIM_OBS_COUNT("trim.select.index.subject"); break;
@@ -715,30 +606,17 @@ void TripleStore::SelectEach(const TriplePattern& pattern,
     if (stats != nullptr) ++stats->matched;
     return fn(rec->triple);
   };
-  bool stopped = false;
   if (choice.path == IndexPath::kScan) {
-    for (size_t i = 0; i < kNumShards && !stopped; ++i) {
-      const ShardGuts* g = guts[i];
-      if (g == nullptr) continue;
-      uint64_t n = g->size.load(std::memory_order_seq_cst);
-      for (uint64_t slot = 0; slot < n; ++slot) {
-        if (!visit(RecordAt(*g, static_cast<uint32_t>(slot)))) {
-          stopped = true;
-          break;
-        }
-      }
+    uint64_t n = choice.candidates;
+    for (uint64_t slot = 0; slot < n; ++slot) {
+      if (!visit(RecordAt(*guts, static_cast<uint32_t>(slot)))) break;
     }
-  } else if (choice.path != IndexPath::kEmpty) {
-    for (size_t i = 0; i < choice.node_count && !stopped; ++i) {
-      const Spine* spine =
-          choice.nodes[i]->list.spine.load(std::memory_order_seq_cst);
-      uint64_t used = spine->used.load(std::memory_order_seq_cst);
-      for (uint64_t j = 0; j < used; ++j) {
-        if (!visit(RecordAt(*choice.node_guts[i], spine->slots[j]))) {
-          stopped = true;
-          break;
-        }
-      }
+  } else if (choice.node != nullptr) {
+    const Spine* spine =
+        choice.node->list.spine.load(std::memory_order_seq_cst);
+    uint64_t used = spine->used.load(std::memory_order_seq_cst);
+    for (uint64_t j = 0; j < used; ++j) {
+      if (!visit(RecordAt(*guts, spine->slots[j]))) break;
     }
   }
   EndRead(pin);
@@ -747,11 +625,8 @@ void TripleStore::SelectEach(const TriplePattern& pattern,
 TripleStore::AccessPlan TripleStore::PlanAccess(
     const TriplePattern& pattern) const {
   ReadPin pin = BeginRead();
-  std::array<const ShardGuts*, kNumShards> guts;
-  for (size_t i = 0; i < kNumShards; ++i) {
-    guts[i] = shards_[i].guts.load(std::memory_order_seq_cst);
-  }
-  PathChoice choice = ChoosePath(pattern, pin.snapshot, guts);
+  PathChoice choice = ChoosePath(pattern, pin.snapshot,
+                                 guts_.load(std::memory_order_seq_cst));
   AccessPlan plan;
   plan.path = choice.path;
   plan.candidates =
@@ -781,12 +656,10 @@ std::vector<Triple> TripleStore::ViewFrom(const std::string& resource) const {
   std::queue<std::string> frontier;
   frontier.push(resource);
   visited.insert(resource);
-  while (!frontier.empty()) {
+  const Guts* guts = guts_.load(std::memory_order_seq_cst);
+  while (guts != nullptr && !frontier.empty()) {
     std::string cur = std::move(frontier.front());
     frontier.pop();
-    const ShardGuts* guts =
-        shards_[ShardOf(cur)].guts.load(std::memory_order_seq_cst);
-    if (guts == nullptr) continue;
     const IndexNode* sn = FindNode(guts->by_subject, cur);
     if (sn == nullptr) continue;
     const Spine* spine = sn->list.spine.load(std::memory_order_seq_cst);
@@ -815,12 +688,10 @@ std::vector<std::string> TripleStore::ReachableResources(
   frontier.push(resource);
   visited.insert(resource);
   out.push_back(resource);
-  while (!frontier.empty()) {
+  const Guts* guts = guts_.load(std::memory_order_seq_cst);
+  while (guts != nullptr && !frontier.empty()) {
     std::string cur = std::move(frontier.front());
     frontier.pop();
-    const ShardGuts* guts =
-        shards_[ShardOf(cur)].guts.load(std::memory_order_seq_cst);
-    if (guts == nullptr) continue;
     const IndexNode* sn = FindNode(guts->by_subject, cur);
     if (sn == nullptr) continue;
     const Spine* spine = sn->list.spine.load(std::memory_order_seq_cst);
@@ -841,9 +712,7 @@ std::vector<std::string> TripleStore::ReachableResources(
 
 void TripleStore::ForEach(const std::function<void(const Triple&)>& fn) const {
   ReadPin pin = BeginRead();
-  for (size_t i = 0; i < kNumShards; ++i) {
-    const ShardGuts* guts = shards_[i].guts.load(std::memory_order_seq_cst);
-    if (guts == nullptr) continue;
+  if (const Guts* guts = guts_.load(std::memory_order_seq_cst)) {
     uint64_t n = guts->size.load(std::memory_order_seq_cst);
     for (uint64_t slot = 0; slot < n; ++slot) {
       Record* rec = RecordAt(*guts, static_cast<uint32_t>(slot));
@@ -854,23 +723,13 @@ void TripleStore::ForEach(const std::function<void(const Triple&)>& fn) const {
 }
 
 size_t TripleStore::ApproximateBytes() const {
-  ReadPin pin = BeginRead();
   size_t bytes = 0;
-  for (size_t i = 0; i < kNumShards; ++i) {
-    const ShardGuts* guts = shards_[i].guts.load(std::memory_order_seq_cst);
-    if (guts == nullptr) continue;
-    uint64_t n = guts->size.load(std::memory_order_seq_cst);
-    for (uint64_t slot = 0; slot < n; ++slot) {
-      Record* rec = RecordAt(*guts, static_cast<uint32_t>(slot));
-      if (!Visible(*rec, pin.snapshot)) continue;
-      const Triple& t = rec->triple;
-      bytes += sizeof(Triple);
-      bytes += t.subject.capacity() + t.property.capacity() +
-               t.object.text.capacity();
-      bytes += 3 * sizeof(uint32_t);  // index postings
-    }
-  }
-  EndRead(pin);
+  ForEach([&bytes](const Triple& t) {
+    bytes += sizeof(Triple);
+    bytes += t.subject.capacity() + t.property.capacity() +
+             t.object.text.capacity();
+    bytes += 3 * sizeof(uint32_t);  // index postings
+  });
   return bytes;
 }
 

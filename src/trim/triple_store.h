@@ -11,9 +11,9 @@
 /// resource (such as a Bundle id), where all triples that can be reached
 /// from this resource are returned."
 ///
-/// The store keeps three hash indexes (subject, property, object text),
-/// sharded 16 ways by subject hash, and answers selection queries through
-/// the most selective fixed field.
+/// The store keeps one append-only record log and three hash indexes over
+/// it (subject, property, object text), and answers selection queries
+/// through the most selective fixed field.
 ///
 /// Concurrency contract (DESIGN.md §10 is the full specification):
 /// *mutations* (Add/Remove/RemoveMatching/SetOne/ApplyBatch/Clear)
@@ -38,7 +38,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "trim/epoch.h"
@@ -74,15 +73,10 @@ struct TriplePattern {
 
 struct StoreStats;  // trim/store_stats.h
 
-/// \brief In-memory triple store with sharded S/P/O indexes and
-/// epoch-based snapshot reads.
+/// \brief In-memory triple store with S/P/O indexes and epoch-based
+/// snapshot reads.
 class TripleStore {
  public:
-  /// Shard fan-out, matching the obs registry's shard count. Subjects map
-  /// to shards deterministically (ShardOf), so save/load round-trips
-  /// re-create identical iteration order.
-  static constexpr size_t kNumShards = 16;
-
   /// Which access path a selection settled on (obs: the
   /// `trim.select.index.*` counters; also reified into query EXPLAIN
   /// plans, see slim/query_plan.h).
@@ -238,8 +232,9 @@ class TripleStore {
   bool empty() const { return size() == 0; }
 
   /// \name Index key counts (distinct subjects/properties/object texts).
-  /// Cheap O(1) reads; the query planner divides size() by these for
-  /// average-cardinality estimates of runtime-bound patterns.
+  /// Cheap O(1) reads, kept exact by the index nodes' live counts; the
+  /// query planner divides size() by these for average-cardinality
+  /// estimates of runtime-bound patterns.
   /// @{
   size_t DistinctSubjects() const {
     return distinct_subjects_.load(std::memory_order_relaxed);
@@ -255,7 +250,7 @@ class TripleStore {
   /// Removes every triple (one epoch; pinned readers keep their view).
   void Clear();
 
-  /// Visits every live triple, shard by shard in deterministic order.
+  /// Visits every live triple in insertion order.
   void ForEach(const std::function<void(const Triple&)>& fn) const;
 
   /// Rough heap footprint of stored triple data in bytes (for the space
@@ -264,14 +259,10 @@ class TripleStore {
 
   /// \name Concurrency introspection
   /// @{
-  /// Deterministic shard of a subject (FNV-1a; stable across platforms).
-  static size_t ShardOf(std::string_view subject);
-  /// Live-triple count per shard (feeds `slim.store.shard.*` gauges).
-  std::array<uint64_t, kNumShards> ShardLiveCounts() const;
   /// Epoch counter, oldest pin, and limbo occupancy.
   EpochStats GetEpochStats() const { return epoch_.GetStats(); }
   /// Takes the writer lock, drains every reclaimable limbo entry, and
-  /// compacts shards whose garbage is no longer visible to any reader.
+  /// compacts the log once its garbage is no longer visible to any reader.
   /// Writers also do this opportunistically; this forces it (tests,
   /// stats refresh). Returns the number of limbo entries freed.
   size_t ReclaimRetired();
@@ -283,21 +274,28 @@ class TripleStore {
 
   /// \name Storage layout (DESIGN.md §10)
   ///
-  /// Per shard: an append-only record log (fixed-capacity chunk table, so
-  /// a record's address never moves) plus three chained hash indexes whose
+  /// One append-only record log (fixed-capacity chunk table, so a
+  /// record's address never moves) plus three chained hash indexes whose
   /// posting lists are grow-by-copy spines. Records carry birth/death
   /// epochs; nothing is ever mutated in place in a way a pinned reader
   /// could observe, and replaced structures go through the epoch limbo.
+  /// The chunk table and bucket arrays (640 KB) are allocated at the
+  /// first add.
   /// @{
-  static constexpr size_t kChunkSize = 512;   ///< Records per chunk.
-  static constexpr size_t kMaxChunks = 2048;  ///< 1M records per shard.
-  static constexpr size_t kIndexBuckets = 1024;
+  static constexpr size_t kChunkSize = 512;    ///< Records per chunk.
+  static constexpr size_t kMaxChunks = 32768;  ///< 16M records.
+  static constexpr size_t kIndexBuckets = 16384;
   static constexpr size_t kInitialSpineCap = 4;
   /// Commits between opportunistic reclaim/compaction sweeps.
   static constexpr uint64_t kReclaimInterval = 64;
-  /// A shard compacts when its dead-record count passes this floor and
+  /// The log compacts when its dead-record count passes this floor and
   /// exceeds its live count (amortized O(1) per removal).
   static constexpr uint64_t kCompactDeadFloor = 1024;
+  /// Access-path choice stops probing further indexes once its best
+  /// candidate list is this short: walking the list is cheaper than
+  /// another index probe. Point reads (GetOne, Contains-style probes)
+  /// live on this path.
+  static constexpr uint64_t kShortList = 64;
 
   struct Record {
     Triple triple;
@@ -324,28 +322,21 @@ class TripleStore {
     IndexNode(std::string k, IndexNode* nxt) : key(std::move(k)), next(nxt) {}
     const std::string key;
     PostingList list;
-    /// Current live postings under this key (access-path sizing; exact
-    /// when quiescent, approximate mid-batch — see CandidateList).
+    /// Live postings under this key, for access-path sizing and the
+    /// Distinct*() counters. Exact for the latest state; a pinned reader
+    /// may see it ahead of its snapshot.
     std::atomic<uint64_t> live{0};
     IndexNode* const next;
   };
   struct IndexMap {
     std::array<std::atomic<IndexNode*>, kIndexBuckets> buckets{};
   };
-  struct ShardGuts {
+  struct Guts {
     std::atomic<uint64_t> size{0};  ///< Published records (incl. dead).
     std::array<std::atomic<Chunk*>, kMaxChunks> chunks{};
     IndexMap by_subject;
     IndexMap by_property;
     IndexMap by_object;
-  };
-  struct alignas(64) Shard {
-    std::atomic<ShardGuts*> guts{nullptr};
-    std::atomic<uint64_t> live{0};
-    std::atomic<uint64_t> dead{0};
-    /// Largest death epoch in this shard's log; writer-only under
-    /// write_mu_. Compaction is legal once MinPinned() passes it.
-    uint64_t max_death_epoch = 0;
   };
   /// @}
 
@@ -358,9 +349,7 @@ class TripleStore {
       REQUIRES(write_mu_);
   size_t RemoveMatchingLocked(const TriplePattern& pattern, WriterScope& ws)
       REQUIRES(write_mu_);
-  void BumpKeyLive(const Triple& t, int delta) REQUIRES(write_mu_);
-  void MaybeCompactShard(size_t shard_idx, bool force = false)
-      REQUIRES(write_mu_);
+  void MaybeCompact(bool force = false) REQUIRES(write_mu_);
   void ReclaimLocked() REQUIRES(write_mu_);
 
   /// Reader entry/exit: returns the snapshot epoch to evaluate at — the
@@ -373,26 +362,23 @@ class TripleStore {
   ReadPin BeginRead() const;
   void EndRead(ReadPin pin) const;
 
-  /// The access path a pattern resolves to, plus the index nodes (one per
-  /// shard holding the key) a non-scan path will visit.
+  /// The access path a pattern resolves to, plus the index node a
+  /// subject/object/property path will visit.
   struct PathChoice {
     IndexPath path = IndexPath::kScan;
     uint64_t candidates = 0;
-    std::array<const IndexNode*, kNumShards> nodes{};
-    std::array<const ShardGuts*, kNumShards> node_guts{};
-    size_t node_count = 0;
+    const IndexNode* node = nullptr;
   };
-  PathChoice ChoosePath(const TriplePattern& pattern, uint64_t snapshot,
-                        const std::array<const ShardGuts*, kNumShards>& guts)
-      const;
+  static PathChoice ChoosePath(const TriplePattern& pattern, uint64_t snapshot,
+                               const Guts* guts);
 
-  static Record* RecordAt(const ShardGuts& guts, uint32_t slot);
+  static Record* RecordAt(const Guts& guts, uint32_t slot);
   static bool Visible(const Record& rec, uint64_t snapshot);
   static size_t Bucket(std::string_view key) {
-    // Raw FNV-1a is no good here: its low bits pick the shard (ShardOf),
-    // and its high bits barely depend on a key's last bytes, so sequential
-    // ids ("inst:1", "inst:2", ...) would share a few chains. The finalizer
-    // spreads every input bit over the output.
+    // Raw FNV-1a is no good here: its high bits barely depend on a key's
+    // last bytes, so sequential ids ("inst:1", "inst:2", ...) would share
+    // a few chains. The finalizer spreads every input bit over the output;
+    // the bucket takes bits 32-45.
     return (Fmix64(Fnv1a(key)) >> 32) & (kIndexBuckets - 1);
   }
   static uint64_t Fnv1a(std::string_view s);
@@ -406,41 +392,37 @@ class TripleStore {
     return h;
   }
   static IndexNode* FindNode(const IndexMap& map, std::string_view key);
-  /// FindNode with the bucket index precomputed — the bucket depends only
-  /// on the key, so cross-shard gathers hash once and probe every shard.
-  static IndexNode* FindNodeAt(const IndexMap& map, std::string_view key,
-                               size_t bucket);
-  static void FreeGuts(ShardGuts* guts);
+  static void FreeGuts(Guts* guts);
 
   IndexNode* FindOrCreateNode(IndexMap& map, const std::string& key)
       REQUIRES(write_mu_);
-  void AppendPosting(IndexNode* node, uint32_t slot, const ShardGuts& guts)
+  /// Posts `slot` under `key` in one index and counts it live. True when
+  /// the key had no live posting before, i.e. it is a new distinct key.
+  bool Post(IndexMap& map, const std::string& key, uint32_t slot,
+            const Guts& guts) REQUIRES(write_mu_);
+  void AppendPosting(IndexNode* node, uint32_t slot, const Guts& guts)
       REQUIRES(write_mu_);
 
   /// Serializes mutations only; see the concurrency contract above.
   mutable util::InstrumentedMutex write_mu_{"trim.store.write"};
-  /// Epoch domain shared by all shards (mutable: const reads pin it).
+  /// Epoch domain (mutable: const reads pin it).
   // slim-lint: allow(unguarded) -- internally synchronized epoch domain
   mutable EpochManager epoch_;
 
-  // slim-lint: allow(unguarded) -- MVCC: read lock-free under an epoch pin
-  Shard shards_[kNumShards];
+  /// The record log and its indexes; null until the first add and after a
+  /// compaction that finds nothing live. Read lock-free under an epoch pin.
+  std::atomic<Guts*> guts_{nullptr};
 
   std::atomic<uint64_t> live_count_{0};
   std::atomic<uint64_t> distinct_subjects_{0};
   std::atomic<uint64_t> distinct_properties_{0};
   std::atomic<uint64_t> distinct_objects_{0};
 
-  /// Global per-key live counts (a property/object key spans shards, so
-  /// the 0<->1 transitions that maintain the distinct counters need a
-  /// cross-shard tally). Writer-only; stats readers take write_mu_.
-  std::unordered_map<std::string, uint64_t> subject_live_
-      GUARDED_BY(write_mu_);
-  std::unordered_map<std::string, uint64_t> property_live_
-      GUARDED_BY(write_mu_);
-  std::unordered_map<std::string, uint64_t> object_live_
-      GUARDED_BY(write_mu_);
-
+  /// Dead records in the log; stats readers take write_mu_.
+  uint64_t dead_count_ GUARDED_BY(write_mu_) = 0;
+  /// Largest death epoch in the log. Compaction is legal once
+  /// MinPinned() passes it.
+  uint64_t max_death_epoch_ GUARDED_BY(write_mu_) = 0;
   uint64_t commit_count_ GUARDED_BY(write_mu_) = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "workload/icu.h"
 
 #include <cmath>
+#include <unordered_set>
 
 #include "util/strings.h"
 
@@ -86,10 +87,21 @@ IcuWorkload GenerateIcuWorkload(const IcuOptions& options) {
   IcuWorkload out;
 
   // --- Patients ---
+  // MRNs are distinct (each names the patient's lab and note files). A
+  // repeated draw steps to the next unused number in 100000-999999,
+  // wrapping, without drawing again, so a census with no repeat is the
+  // same as one drawn without this check.
+  constexpr uint64_t kMrnFirst = 100000;
+  constexpr uint64_t kMrnCount = 900000;
+  std::unordered_set<uint64_t> used_mrns;
   for (int p = 0; p < options.patients; ++p) {
     Patient patient;
     patient.name = rng.Pick(kFirstNames) + " " + rng.Pick(kLastNames);
-    patient.mrn = "MRN" + std::to_string(100000 + rng.Below(900000));
+    uint64_t mrn = rng.Below(kMrnCount);
+    while (used_mrns.size() < kMrnCount && !used_mrns.insert(mrn).second) {
+      mrn = (mrn + 1) % kMrnCount;
+    }
+    patient.mrn = "MRN" + std::to_string(kMrnFirst + mrn);
     int n_problems = static_cast<int>(rng.Range(1, 3));
     for (int i = 0; i < n_problems; ++i) {
       patient.problems.push_back(rng.Pick(kProblems));

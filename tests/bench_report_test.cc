@@ -217,6 +217,31 @@ TEST(BenchReportTest, ObsMismatchFlagsIncomparable) {
   EXPECT_FALSE(diff.comparable);
 }
 
+// Files from different build configs get no verdict: the warning names
+// both values and a gating run exits 2 even with no regression.
+TEST(BenchReportTest, BuildFlagsMismatchIsIncomparableAndGatingExits2) {
+  bench::BenchReportData o2_report = MakeReport();
+  bench::BenchReportData o3_report = MakeReport();
+  o3_report.build_flags = "Release -O3 -DNDEBUG";
+
+  tools::BenchFile o2_file, o3_file;
+  std::string error;
+  ASSERT_TRUE(tools::ParseBenchJson(bench::BenchReportToJson(o2_report),
+                                    &o2_file, &error));
+  ASSERT_TRUE(tools::ParseBenchJson(bench::BenchReportToJson(o3_report),
+                                    &o3_file, &error));
+  tools::DiffReport diff = tools::DiffBenchFiles(o2_file, o3_file, 10.0);
+  EXPECT_FALSE(diff.comparable);
+  EXPECT_EQ(diff.regressions, 0);
+  EXPECT_EQ(tools::DiffExitCode(diff, /*gating=*/true), 2);
+  EXPECT_EQ(tools::DiffExitCode(diff, /*gating=*/false), 0);
+  std::string text = tools::FormatDiff(diff);
+  EXPECT_NE(text.find("WARNING: not comparable (build_flags "
+                      "'RelWithDebInfo -O2' vs 'Release -O3 -DNDEBUG')"),
+            std::string::npos)
+      << text;
+}
+
 TEST(BenchReportTest, LoadsFromDiskAndRejectsMissingFiles) {
   std::string path = ::testing::TempDir() + "/slim_bench_report_test.json";
   {

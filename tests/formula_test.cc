@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "doc/spreadsheet/formula.h"
+#include "doc/spreadsheet/workbook.h"
 
 namespace slim::doc {
 namespace {
@@ -241,6 +243,75 @@ TEST_P(FormulaIdentity, SumEqualsFold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FormulaIdentity, ::testing::Range(0, 25));
+
+// Depth bound: nesting past kMaxFormulaDepth is a ParseError, never a stack
+// overflow in the parser or in a walker of the tree it returns.
+std::string Repeat(const std::string& s, size_t n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// Each shape at `depth` parser levels or tree levels; all evaluate to 1 or
+// to the term count.
+std::string NestedParens(size_t depth) {
+  return Repeat("(", depth) + "1" + Repeat(")", depth);
+}
+std::string SumOf(size_t depth) { return "1" + Repeat("+1", depth - 1); }
+std::string Negations(size_t depth) { return Repeat("-", depth - 1) + "1"; }
+std::string PowerTower(size_t depth) { return "1" + Repeat("^1", depth - 1); }
+
+TEST(FormulaDepthTest, HostileNestingIsAParseError) {
+  for (const std::string& src :
+       {NestedParens(200000), Repeat("-", 200000) + "1", SumOf(200000)}) {
+    auto parsed = ParseFormula(src);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_TRUE(parsed.status().IsParseError());
+    EXPECT_NE(parsed.status().message().find(
+                  "nested deeper than 1000 levels at position "),
+              std::string::npos)
+        << parsed.status().message();
+  }
+}
+
+TEST(FormulaDepthTest, LimitIsExact) {
+  ASSERT_EQ(kMaxFormulaDepth, 1000u);
+  for (auto shape : {NestedParens, SumOf, Negations, PowerTower}) {
+    std::string at_limit = shape(kMaxFormulaDepth);
+    auto parsed = ParseFormula(at_limit);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    CellValue v = Eval(at_limit);
+    ASSERT_TRUE(IsNumber(v)) << CellValueText(v);
+    double expected = shape == SumOf ? 1000.0 : shape == Negations ? -1 : 1;
+    EXPECT_EQ(std::get<double>(v), expected);
+    EXPECT_FALSE(FormatFormula(**parsed).empty());
+    EXPECT_TRUE(CollectReferences(**parsed).empty());
+
+    auto past = ParseFormula(shape(kMaxFormulaDepth + 1));
+    ASSERT_FALSE(past.ok());
+    EXPECT_TRUE(past.status().IsParseError());
+  }
+}
+
+TEST(FormulaDepthTest, LongReferenceSumsStillParse) {
+  std::string src = "A1";
+  for (int i = 2; i <= 500; ++i) src += "+A" + std::to_string(i);
+  auto parsed = ParseFormula(src);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(CollectReferences(**parsed).size(), 500u);
+}
+
+TEST(FormulaDepthTest, WorksheetInputNamesTheFormula) {
+  Workbook wb;
+  Worksheet* ws = *wb.AddSheet("S");
+  Status s = ws->SetInput({0, 0}, "=" + NestedParens(200000));
+  EXPECT_TRUE(s.IsParseError());
+  EXPECT_NE(s.message().find("in formula '=((("), std::string::npos);
+  EXPECT_NE(s.message().find("nested deeper than 1000 levels"),
+            std::string::npos);
+  EXPECT_EQ(ws->GetCell({0, 0}), nullptr);
+}
 
 }  // namespace
 }  // namespace slim::doc

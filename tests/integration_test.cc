@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "slim/conformance.h"
 #include "workload/corpus.h"
 #include "workload/session.h"
@@ -198,6 +201,29 @@ TEST(CorpusTest, DeterministicAndZipfish) {
     tail_count += d->FindAll(tail).size();
   }
   EXPECT_GT(head_count, tail_count);
+}
+
+// Every patient's MRN is distinct, so no two share a lab-report file. Seed
+// 14 draws one MRN twice at 256 patients; the repeat steps to the next
+// unused number and every other MRN is the one drawn.
+TEST(IcuWorkloadTest, MrnsAreDistinct) {
+  IcuOptions options;
+  options.patients = 256;
+  options.seed = 14;
+  IcuWorkload census = GenerateIcuWorkload(options);
+  std::set<std::string> mrns;
+  for (const Patient& p : census.patients) mrns.insert(p.mrn);
+  EXPECT_EQ(mrns.size(), 256u);
+  EXPECT_EQ(census.patients[0].mrn, "MRN586666");
+  EXPECT_EQ(census.patients[254].mrn, "MRN272093");
+
+  // A census without a repeat is unchanged by the check.
+  options.seed = 1;
+  census = GenerateIcuWorkload(options);
+  EXPECT_EQ(census.patients[0].mrn, "MRN890590");
+  EXPECT_EQ(census.patients[1].mrn, "MRN636950");
+  EXPECT_EQ(census.patients[2].mrn, "MRN863816");
+  EXPECT_EQ(census.patients[255].mrn, "MRN295093");
 }
 
 TEST(IcuWorkloadTest, DeterministicAndConsistent) {

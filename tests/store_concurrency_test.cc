@@ -1,4 +1,4 @@
-// Threaded + property tests for the sharded, epoch-snapshotted TripleStore
+// Threaded + property tests for the epoch-snapshotted TripleStore
 // (trim/triple_store.h, DESIGN.md §10), modeled on obs_stress_test.cc:
 // exact post-join totals, invariants checked from reader threads via atomic
 // violation counters, everything library-level so it runs in both
@@ -12,14 +12,20 @@
 //    batch, and post-join totals are exact;
 //  - epoch reclamation under churn: retired payloads drain once pins
 //    advance, and tombstone debt is compacted instead of growing without
-//    bound.
+//    bound;
+//  - exact accounting: size(), Distinct*(), ComputeStats and the
+//    planner's per-key counts always equal a recount of the live triples,
+//    across pins, Clear() and compaction.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <future>
+#include <map>
 #include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -136,24 +142,6 @@ TEST(StoreConcurrency, SetOneIsOneAtomicEpoch) {
   EXPECT_EQ(old_view[0].object.text, "v0");
 }
 
-TEST(StoreConcurrency, ShardAccountingIsDeterministicAndExact) {
-  TripleStore store;
-  constexpr int kTriples = 400;
-  for (int i = 0; i < kTriples; ++i) {
-    ASSERT_TRUE(
-        store.AddLiteral("subj" + std::to_string(i), "p", "v").ok());
-  }
-  auto counts = store.ShardLiveCounts();
-  uint64_t total = 0;
-  for (size_t i = 0; i < counts.size(); ++i) total += counts[i];
-  EXPECT_EQ(total, static_cast<uint64_t>(kTriples));
-  for (int i = 0; i < kTriples; ++i) {
-    std::string s = "subj" + std::to_string(i);
-    EXPECT_EQ(TripleStore::ShardOf(s), TripleStore::ShardOf(std::string(s)));
-    EXPECT_LT(TripleStore::ShardOf(s), TripleStore::kNumShards);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Concurrent readers vs. a batching writer
 // ---------------------------------------------------------------------------
@@ -167,7 +155,7 @@ TEST(StoreConcurrency, ReadersNeverObserveTornBatches) {
   constexpr int kGenSize = 8;
   constexpr int kGenerations = 300;
   constexpr int kReaders = 4;
-  // A static backdrop so queries also cross unrelated shards.
+  // A static backdrop of unrelated records around the generations.
   for (int i = 0; i < 64; ++i) {
     ASSERT_TRUE(
         store.AddLiteral("base" + std::to_string(i), "p.base", "x").ok());
@@ -277,8 +265,8 @@ TEST(StoreConcurrency, ReadersNeverObserveTornBatches) {
 // below the total churn.
 TEST(StoreConcurrency, EpochReclamationUnderChurn) {
   TripleStore store;
-  // Enough churn that every active shard crosses the compaction dead-floor
-  // (kRounds / kAttrs per shard, well above kCompactDeadFloor).
+  // Enough churn that the log crosses the compaction dead-floor many times
+  // (kRounds dead records, well above kCompactDeadFloor).
   constexpr int kRounds = 12000;
   constexpr int kAttrs = 4;
   constexpr int kReaders = 2;
@@ -350,6 +338,227 @@ TEST(StoreConcurrency, EpochReclamationUnderChurn) {
   }
   store.ReclaimRetired();
   EXPECT_EQ(store.GetEpochStats().limbo, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Exact accounting
+// ---------------------------------------------------------------------------
+
+// Clear() under a held snapshot: the pinned reader keeps its view, and
+// once the pin is gone the planner's per-key counts are exact at once —
+// an empty store plans an empty selection, with no wait for a compaction.
+TEST(StoreConcurrency, ClearUnderPinLeavesPlannerCountsExact) {
+  TripleStore store;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(store.AddLiteral("s" + std::to_string(i), "p", "v").ok());
+  }
+  const TriplePattern by_p = TriplePattern::ByProperty("p");
+  {
+    TripleStore::Snapshot pin(store);
+    store.Clear();
+    TripleStore::AccessPlan pinned = store.PlanAccess(by_p);
+    EXPECT_EQ(pinned.path, TripleStore::IndexPath::kProperty);
+    EXPECT_EQ(pinned.candidates, 100u);
+    EXPECT_EQ(store.Select(by_p).size(), 100u);
+  }
+  EXPECT_EQ(store.size(), 0u);
+  TripleStore::AccessPlan plan = store.PlanAccess(by_p);
+  EXPECT_EQ(plan.path, TripleStore::IndexPath::kEmpty);
+  EXPECT_EQ(plan.candidates, 0u);
+  TripleStore::SelectStats stats;
+  store.SelectEach(by_p, [](const Triple&) { return true; }, &stats);
+  EXPECT_EQ(stats.path, TripleStore::IndexPath::kEmpty);
+  EXPECT_EQ(stats.candidates, 0u);
+
+  ASSERT_TRUE(store.AddLiteral("s0", "p", "v").ok());
+  plan = store.PlanAccess(by_p);
+  EXPECT_EQ(plan.path, TripleStore::IndexPath::kProperty);
+  EXPECT_EQ(plan.candidates, 1u);
+  stats = {};
+  store.SelectEach(by_p, [](const Triple&) { return true; }, &stats);
+  EXPECT_EQ(stats.candidates, 1u);
+  EXPECT_EQ(stats.matched, 1u);
+  EXPECT_EQ(store.DistinctSubjects(), 1u);
+  EXPECT_EQ(store.DistinctProperties(), 1u);
+  EXPECT_EQ(store.DistinctObjects(), 1u);
+}
+
+// Holds a TripleStore::Snapshot on its own thread until destroyed: it
+// blocks reclamation and compaction while this thread's reads stay
+// current.
+class PinHolder {
+ public:
+  explicit PinHolder(const TripleStore& store) {
+    std::promise<void> pinned;
+    std::future<void> is_pinned = pinned.get_future();
+    thread_ = std::thread([&store, pinned = std::move(pinned),
+                           released = release_.get_future()]() mutable {
+      TripleStore::Snapshot pin(store);
+      pinned.set_value();
+      released.wait();
+    });
+    is_pinned.wait();
+  }
+  ~PinHolder() {
+    release_.set_value();
+    thread_.join();
+  }
+  PinHolder(const PinHolder&) = delete;
+  PinHolder& operator=(const PinHolder&) = delete;
+
+ private:
+  std::promise<void> release_;
+  std::thread thread_;
+};
+
+// The store's counters against a brute-force recount of ForEach, after
+// every step of a seeded random mix of every mutator, Clear() and
+// ReclaimRetired(), with and without a pin held on another thread. The
+// model is the live triples in insertion order, which ForEach must
+// reproduce exactly, also across compactions.
+TEST(StoreConcurrency, CountsMatchRecountThroughClearAndCompaction) {
+  const std::vector<std::string> subjects = {"s0", "s1", "s2", "s3", "s4",
+                                             "s5", "s6", "s7", "s8", "s9",
+                                             "s10", "s11"};
+  const std::vector<std::string> properties = {"p0", "p1", "p2", "p3", "p4"};
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+    auto random_triple = [&]() {
+      std::string o = "v" + std::to_string(pick(16));
+      Object object = pick(4) == 0 ? Object::Resource(o) : Object::Literal(o);
+      return Triple{subjects[pick(subjects.size())],
+                    properties[pick(properties.size())], object};
+    };
+    TripleStore store;
+    std::vector<Triple> model;  // live triples, insertion order
+    auto model_add = [&model](const Triple& t) {
+      if (std::find(model.begin(), model.end(), t) != model.end()) {
+        return false;
+      }
+      model.push_back(t);
+      return true;
+    };
+    auto model_remove = [&model](const Triple& t) {
+      auto it = std::find(model.begin(), model.end(), t);
+      if (it == model.end()) return false;
+      model.erase(it);
+      return true;
+    };
+    // A live triple half the time, so removes mostly hit.
+    auto removal_target = [&]() {
+      return !model.empty() && pick(2) == 0 ? model[pick(model.size())]
+                                            : random_triple();
+    };
+    std::optional<PinHolder> pin;
+    int clears = 0;
+    uint64_t largest_compaction = 0;
+    uint64_t tombstoned = 0;
+
+    for (int step = 0; step < 2500; ++step) {
+      size_t op = pick(1000);
+      if (op < 400) {
+        Triple t = random_triple();
+        EXPECT_EQ(store.Add(t).ok(), model_add(t));
+      } else if (op < 560) {
+        Triple t = removal_target();
+        EXPECT_EQ(store.Remove(t).ok(), model_remove(t));
+      } else if (op < 640) {
+        Triple t = random_triple();
+        ASSERT_TRUE(store.SetOne(t.subject, t.property, t.object).ok());
+        std::erase_if(model, [&t](const Triple& m) {
+          return m.subject == t.subject && m.property == t.property;
+        });
+        model.push_back(t);
+      } else if (op < 760) {
+        Triple t = random_triple();
+        TriplePattern pattern;
+        switch (pick(4)) {
+          case 0: pattern = TriplePattern::BySubject(t.subject); break;
+          case 1: pattern = TriplePattern::ByProperty(t.property); break;
+          case 2: pattern = TriplePattern::ByObject(t.object); break;
+          default:
+            pattern = TriplePattern::BySubjectProperty(t.subject, t.property);
+        }
+        size_t expected = std::erase_if(
+            model, [&pattern](const Triple& m) { return pattern.Matches(m); });
+        EXPECT_EQ(store.RemoveMatching(pattern), expected);
+      } else if (op < 940) {
+        std::vector<TripleStore::WriteOp> ops;
+        size_t applied = 0;
+        for (size_t i = 1 + pick(16); i > 0; --i) {
+          if (pick(3) == 0) {
+            Triple t = removal_target();
+            applied += model_remove(t);
+            ops.push_back(TripleStore::WriteOp::RemoveOp(t));
+          } else {
+            Triple t = random_triple();
+            applied += model_add(t);
+            ops.push_back(TripleStore::WriteOp::AddOp(t));
+          }
+        }
+        EXPECT_EQ(store.ApplyBatch(std::move(ops)).applied, applied);
+      } else if (op < 942) {
+        store.Clear();
+        model.clear();
+        ++clears;
+      } else if (op < 980) {
+        store.ReclaimRetired();
+      } else if (pin) {
+        pin.reset();
+      } else {
+        pin.emplace(store);
+      }
+
+      std::vector<Triple> seen;
+      store.ForEach([&seen](const Triple& t) { seen.push_back(t); });
+      ASSERT_EQ(seen, model) << "step " << step;
+
+      std::set<std::string> s_keys, o_keys;
+      std::map<std::string, uint64_t> fanout;
+      for (const Triple& t : model) {
+        s_keys.insert(t.subject);
+        o_keys.insert(t.object.text);
+        ++fanout[t.property];
+      }
+      std::vector<uint64_t> histogram;
+      for (const auto& [property, n] : fanout) {
+        size_t bucket = 0;
+        while ((uint64_t{1} << bucket) < n) ++bucket;
+        if (histogram.size() <= bucket) histogram.resize(bucket + 1, 0);
+        ++histogram[bucket];
+      }
+      EXPECT_EQ(store.size(), model.size());
+      EXPECT_EQ(store.DistinctSubjects(), s_keys.size());
+      EXPECT_EQ(store.DistinctProperties(), fanout.size());
+      EXPECT_EQ(store.DistinctObjects(), o_keys.size());
+      StoreStats stats = ComputeStats(store);
+      EXPECT_EQ(stats.live_triples, model.size());
+      EXPECT_EQ(stats.subject_keys, s_keys.size());
+      EXPECT_EQ(stats.property_keys, fanout.size());
+      EXPECT_EQ(stats.object_keys, o_keys.size());
+      EXPECT_EQ(stats.subject_postings, model.size());
+      EXPECT_EQ(stats.property_postings, model.size());
+      EXPECT_EQ(stats.object_postings, model.size());
+      EXPECT_EQ(stats.predicate_cardinality, histogram);
+      for (const std::string& p : properties) {
+        TripleStore::AccessPlan plan =
+            store.PlanAccess(TriplePattern::ByProperty(p));
+        EXPECT_EQ(plan.candidates, fanout.count(p) ? fanout[p] : 0u);
+        EXPECT_EQ(plan.path, fanout.count(p)
+                                 ? TripleStore::IndexPath::kProperty
+                                 : TripleStore::IndexPath::kEmpty);
+      }
+      if (stats.tombstoned < tombstoned) {
+        largest_compaction = std::max(largest_compaction, tombstoned);
+      }
+      tombstoned = stats.tombstoned;
+    }
+    EXPECT_GT(clears, 0);
+    // At least one compaction dropped more dead records than the floor.
+    EXPECT_GT(largest_compaction, 1024u);
+  }
 }
 
 }  // namespace

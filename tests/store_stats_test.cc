@@ -73,8 +73,8 @@ TEST(StoreStatsTest, HashBackendTracksTombstones) {
 }
 
 // Sequential ids differ only in their last bytes; the index buckets must
-// still spread them (16 shards x 1024 buckets, so a fair hash keeps every
-// chain of 8,000 keys short).
+// still spread them (16,384 buckets, so a fair hash keeps every chain of
+// 8,000 keys short).
 TEST(StoreStatsTest, SequentialSubjectsSpreadOverBuckets) {
   TripleStore store;
   for (int i = 0; i < 8000; ++i) {

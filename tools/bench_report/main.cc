@@ -18,7 +18,8 @@ int Usage() {
                "[--threshold <pct>] [--report-only]\n"
                "  exits 0 when no benchmark regressed past the threshold\n"
                "  exits 1 on regression (unless --report-only)\n"
-               "  exits 2 on unreadable input\n");
+               "  exits 2 on unreadable input, or on files whose build_flags\n"
+               "  or obs_enabled differ (unless --report-only)\n");
   return 2;
 }
 

@@ -330,7 +330,17 @@ DiffReport DiffBenchFiles(const BenchFile& older, const BenchFile& newer,
                           double threshold_pct) {
   DiffReport report;
   report.threshold_pct = threshold_pct;
-  report.comparable = older.obs_enabled == newer.obs_enabled;
+  if (older.build_flags != newer.build_flags) {
+    report.incomparable += "build_flags '" + older.build_flags + "' vs '" +
+                           newer.build_flags + "'";
+  }
+  if (older.obs_enabled != newer.obs_enabled) {
+    if (!report.incomparable.empty()) report.incomparable += ", ";
+    report.incomparable +=
+        std::string("obs_enabled ") + (older.obs_enabled ? "true" : "false") +
+        " vs " + (newer.obs_enabled ? "true" : "false");
+  }
+  report.comparable = report.incomparable.empty();
   report.provenance = older.git_sha + " -> " + newer.git_sha;
   report.old_rusage = older.rusage;
   report.new_rusage = newer.rusage;
@@ -381,8 +391,8 @@ std::string FormatDiff(const DiffReport& report) {
   out << "bench_report: " << report.provenance << ", threshold "
       << report.threshold_pct << "% on real_p50\n";
   if (!report.comparable) {
-    out << "WARNING: obs_enabled differs between the two files — counters "
-           "and timings are not apples-to-apples\n";
+    out << "WARNING: not comparable (" << report.incomparable
+        << ") — counters and timings are not apples-to-apples\n";
   }
   char line[256];
   for (const DiffRow& row : report.rows) {
@@ -429,7 +439,9 @@ std::string FormatDiff(const DiffReport& report) {
 }
 
 int DiffExitCode(const DiffReport& report, bool gating) {
-  return gating && report.regressions > 0 ? 1 : 0;
+  if (!gating) return 0;
+  if (!report.comparable) return 2;
+  return report.regressions > 0 ? 1 : 0;
 }
 
 }  // namespace slim::tools

@@ -11,7 +11,9 @@
 //   bench_report old.json new.json --threshold 10
 //
 // exits 0 when no benchmark's real_p50 regressed by more than 10%, 1 when
-// one did (suppressed by --report-only), 2 on unreadable input.
+// one did, 2 on unreadable input or on two files from different build
+// configs (`build_flags` or `obs_enabled` differ). --report-only prints
+// the same diff and always exits 0 for readable input.
 
 #include <cstdint>
 #include <string>
@@ -79,7 +81,10 @@ struct DiffReport {
   std::vector<DiffRow> rows;
   int regressions = 0;
   double threshold_pct = 0;
-  bool comparable = true;    // false when obs_enabled differs between files
+  // False when build_flags or obs_enabled differ between the files;
+  // `incomparable` then names each difference with both values.
+  bool comparable = true;
+  std::string incomparable;
   std::string provenance;    // "abc123 -> def456" style header material
   // Whole-process rusage from each side, when the files carry it.
   BenchRusageInfo old_rusage;
@@ -95,8 +100,9 @@ DiffReport DiffBenchFiles(const BenchFile& older, const BenchFile& newer,
 // Human-readable table of the diff.
 std::string FormatDiff(const DiffReport& report);
 
-// Exit status the CLI should use: 0 clean, 1 when the diff holds
-// regressions and `gating` is set.
+// Exit status the CLI should use when `gating` is set: 2 when the files
+// are not comparable (no verdict), 1 when the diff holds regressions,
+// 0 otherwise. Without `gating` it is always 0.
 int DiffExitCode(const DiffReport& report, bool gating);
 
 }  // namespace slim::tools

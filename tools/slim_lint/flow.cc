@@ -252,8 +252,7 @@ bool IsStdMutexName(std::string_view id) {
 
 bool IsReadPathCallee(std::string_view id) {
   return id == "SelectEach" || id == "DistinctSubjects" ||
-         id == "DistinctProperties" || id == "DistinctObjects" ||
-         id == "FindNodeAt";
+         id == "DistinctProperties" || id == "DistinctObjects";
 }
 
 bool IsBlockingCallee(std::string_view id) {

@@ -6,7 +6,7 @@
 ///
 /// The original linter scanned each file line by line with regexes — fine
 /// for includes and macro arguments, blind to *scope*. The concurrency
-/// contracts introduced by the sharded MVCC TripleStore (DESIGN.md §10)
+/// contracts introduced by the MVCC TripleStore (DESIGN.md §10)
 /// are scope properties: which locks are held *here*, is a snapshot pin
 /// still alive *there*. This header provides the machinery to check them:
 ///
@@ -42,10 +42,10 @@
 ///    reclamation); release first or suppress with justification.
 ///  - `snapshot-discipline` (LintSnapshotDiscipline, interprocedural):
 ///    in src/slim and src/trim a read-path call (`SelectEach`,
-///    `Distinct{Subjects,Properties,Objects}`, `FindNodeAt`) must be
-///    covered by a live `TripleStore::Snapshot`, a snapshot parameter, a
-///    `BeginRead()` pin, or the writer lock (a writer reads its own
-///    pending epoch); coverage may come from any caller, so the check
+///    `Distinct{Subjects,Properties,Objects}`) must be covered by a live
+///    `TripleStore::Snapshot`, a snapshot parameter, a `BeginRead()` pin,
+///    or the writer lock (a writer reads its own pending epoch);
+///    coverage may come from any caller, so the check
 ///    propagates uncovered reads up the (simple-name) call graph and only
 ///    reports reads still exposed at a call-graph root. The local half
 ///    flags a Snapshot whose lifetime encloses a `WriterScope`,
