@@ -3,14 +3,19 @@
 // "We are also considering augmenting such interfaces with query
 // capabilities, in addition to the current navigational access."
 //
-// Regenerates: the same three questions answered two ways — hand-written
+// Regenerates: the same four questions answered two ways — hand-written
 // navigation through the DMI's object graph, and the declarative query
 // engine over the triples — plus query cost vs clause count and vs pad
-// size. Expected shape: navigation wins on point lookups by a constant
-// factor; the query engine's selectivity-ordered joins keep multi-hop
-// questions in the same order of magnitude while being one line of text.
+// size. Q1–Q3 return one row per patient; Q4 returns every scrap (8 per
+// patient), the fan-out shape of perfbench's consult Q4, so its cost is
+// dominated by building solutions. Expected shape: navigation wins on
+// point lookups by a constant factor; the query engine's
+// selectivity-ordered joins keep multi-hop questions in the same order of
+// magnitude while being one line of text.
 
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 #include "bench/bench_common.h"
 #include "slim/query.h"
@@ -151,6 +156,38 @@ void BM_Q3_Query(benchmark::State& state) {
 }
 BENCHMARK(BM_Q3_Navigational)->Arg(8)->Arg(64)->Arg(256);
 BENCHMARK(BM_Q3_Query)->Arg(8)->Arg(64)->Arg(256);
+
+// Q4: every scrap of every bundle, with its name (one fan-out join: 8 rows
+// per patient).
+void BM_Q4_Navigational(benchmark::State& state) {
+  auto pad = BuildBenchPad(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    std::vector<std::array<std::string, 3>> rows;
+    for (const pad::Bundle* b : pad->dmi->Bundles()) {
+      for (const std::string& sid : b->scraps()) {
+        const pad::Scrap* s = *pad->dmi->GetScrap(sid);
+        rows.push_back({b->id(), sid, s->name()});
+      }
+    }
+    benchmark::DoNotOptimize(rows);
+    state.counters["rows"] = static_cast<double>(rows.size());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+void BM_Q4_Query(benchmark::State& state) {
+  auto pad = BuildBenchPad(static_cast<int>(state.range(0)));
+  store::Query q =
+      *store::Query::Parse("?b bundleContent ?s . ?s scrapName ?n");
+  for (auto _ : state) {
+    auto rows = store::Execute(pad->store, q);
+    if (!rows.ok()) state.SkipWithError("query failed");
+    benchmark::DoNotOptimize(rows);
+    state.counters["rows"] = static_cast<double>(rows->size());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Q4_Navigational)->Arg(8)->Arg(64)->Arg(256);
+BENCHMARK(BM_Q4_Query)->Arg(8)->Arg(64)->Arg(256);
 
 // Clause-count sweep on a fixed pad: cost of each extra join hop.
 void BM_QueryClauseSweep(benchmark::State& state) {

@@ -170,6 +170,11 @@ Result<QueryPlan> BuildPlan(const trim::TripleStore& store,
                             const Query& query) {
   using IndexPath = trim::TripleStore::IndexPath;
   const std::vector<QueryClause>& clauses = query.clauses();
+  if (clauses.size() > kMaxQueryClauses) {
+    return Status::InvalidArgument(
+        "query: " + std::to_string(clauses.size()) + " clauses, more than " +
+        std::to_string(kMaxQueryClauses));
+  }
   std::vector<trim::TripleStore::AccessPlan> constant_access;
   for (const QueryClause& clause : clauses) {
     Status valid = ValidateClause(clause);
@@ -318,13 +323,16 @@ struct ExecStep {
 };
 
 // The one executor: an index-nested-loop join over `plan.steps`, with
-// bindings in a dense slot vector (one slot per variable) and a Binding
-// map built once per solution.
+// bindings in a dense slot vector (one slot per variable, in variable-name
+// order) copied into one flat Binding per solution.
 class Executor {
  public:
   Executor(const trim::TripleStore& store, const Query& query,
            const QueryPlan& plan)
       : store_(store), names_(query.Variables()), slots_(names_.size()) {
+    // Slots in name order, so Emit appends each solution's entries in the
+    // order a Binding keeps them.
+    std::sort(names_.begin(), names_.end());
     std::vector<size_t> bound_at(names_.size(), 0);  // step + 1; 0 = free
     for (size_t step = 0; step < plan.steps.size(); ++step) {
       const QueryClause& clause =
@@ -432,16 +440,16 @@ class Executor {
   }
 
   void Emit() {
-    Binding binding;
+    Binding& binding = out_->emplace_back();
+    binding.reserve(slots_.size());
     for (size_t slot = 0; slot < slots_.size(); ++slot) {
       binding.emplace(names_[slot], BoundValue{slots_[slot].kind,
                                                std::string(slots_[slot].text)});
     }
-    out_->push_back(std::move(binding));
   }
 
   const trim::TripleStore& store_;
-  std::vector<std::string> names_;  // slot -> variable name
+  std::vector<std::string> names_;  // slot -> variable name, sorted
   std::vector<Slot> slots_;
   std::vector<ExecStep> steps_;
   std::vector<Binding>* out_ = nullptr;
@@ -455,6 +463,11 @@ Result<Query> Query::Parse(std::string_view text) {
     std::vector<QueryClause> clauses;
     Cursor cursor{text};
     while (!cursor.Done()) {
+      if (clauses.size() == kMaxQueryClauses) {
+        return Status::ParseError("query: more than " +
+                                  std::to_string(kMaxQueryClauses) +
+                                  " clauses");
+      }
       QueryClause clause;
       SLIM_ASSIGN_OR_RETURN(clause.subject, ParseTerm(&cursor));
       SLIM_ASSIGN_OR_RETURN(clause.property, ParseTerm(&cursor));

@@ -26,9 +26,12 @@
 /// `Execute`, `ExplainAnalyze` and the slow-query sampler alike
 /// (bench_query and perfbench's consult workload measure it).
 
-#include <map>
+#include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "slim/query_plan.h"
@@ -67,8 +70,83 @@ struct QueryClause {
 /// \brief A value bound to a variable: a resource id or a literal.
 using BoundValue = trim::Object;
 
+/// Most clauses a query may have. `Query::Parse` rejects longer text with
+/// a `ParseError`, and every entry point rejects a longer built query with
+/// `InvalidArgument` before planning: the planner is quadratic in the
+/// clause count and the executor recurses once per clause.
+inline constexpr size_t kMaxQueryClauses = 1000;
+
 /// \brief One solution: variable name -> bound value.
-using Binding = std::map<std::string, BoundValue>;
+///
+/// A flat vector of (name, value) pairs, sorted by name with unique names,
+/// so a solution is one heap block rather than one tree node per variable
+/// (names and short values fit in their strings' inline buffers).
+/// Iteration is in variable-name order. The class keeps the part of
+/// `std::map`'s interface that callers use: iteration, `size`, `empty`,
+/// `count`, `find`, `at` (throws `std::out_of_range`), `operator[]`
+/// (default-inserts), `emplace` (never overwrites) and `==`.
+class Binding {
+ public:
+  using value_type = std::pair<std::string, BoundValue>;
+  using iterator = std::vector<value_type>::iterator;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  iterator begin() { return entries_.begin(); }
+  iterator end() { return entries_.end(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+  void reserve(size_t n) { entries_.reserve(n); }
+
+  iterator find(std::string_view name) {
+    iterator it = LowerBound(name);
+    return it != end() && it->first == name ? it : end();
+  }
+  const_iterator find(std::string_view name) const {
+    return const_cast<Binding*>(this)->find(name);
+  }
+  size_t count(std::string_view name) const { return find(name) != end(); }
+
+  BoundValue& at(std::string_view name) {
+    iterator it = find(name);
+    if (it == end()) {
+      throw std::out_of_range("Binding::at: no variable ?" +
+                              std::string(name));
+    }
+    return it->second;
+  }
+  const BoundValue& at(std::string_view name) const {
+    return const_cast<Binding*>(this)->at(name);
+  }
+
+  /// Inserts `name` -> `value` in name order unless `name` is bound; the
+  /// iterator points at `name`'s entry either way. Appending in name
+  /// order costs one comparison.
+  std::pair<iterator, bool> emplace(std::string name, BoundValue value) {
+    iterator it = entries_.empty() || entries_.back().first < name
+                      ? end()
+                      : LowerBound(name);
+    if (it != end() && it->first == name) return {it, false};
+    return {entries_.emplace(it, std::move(name), std::move(value)), true};
+  }
+  BoundValue& operator[](std::string_view name) {
+    return emplace(std::string(name), BoundValue{}).first->second;
+  }
+
+  friend bool operator==(const Binding&, const Binding&) = default;
+
+ private:
+  iterator LowerBound(std::string_view name) {
+    return std::lower_bound(
+        entries_.begin(), entries_.end(), name,
+        [](const value_type& entry, std::string_view n) {
+          return entry.first < n;
+        });
+  }
+
+  std::vector<value_type> entries_;
+};
 
 /// \brief A conjunctive query.
 class Query {
@@ -77,7 +155,8 @@ class Query {
   explicit Query(std::vector<QueryClause> clauses)
       : clauses_(std::move(clauses)) {}
 
-  /// Parses query text (see file comment for the syntax).
+  /// Parses query text (see file comment for the syntax). Text with more
+  /// than kMaxQueryClauses clauses is a ParseError.
   static Result<Query> Parse(std::string_view text);
 
   /// Programmatic building.
@@ -102,8 +181,8 @@ class Query {
 /// \brief Evaluates the query; returns all solutions.
 ///
 /// Unknown constants simply produce zero solutions; malformed queries (no
-/// clauses, a literal in subject or property position of any clause)
-/// produce InvalidArgument before any clause runs.
+/// clauses, more than kMaxQueryClauses, a literal in subject or property
+/// position of any clause) produce InvalidArgument before any clause runs.
 Result<std::vector<Binding>> Execute(const trim::TripleStore& store,
                                      const Query& query);
 

@@ -1,7 +1,10 @@
 #include "trim/triple_store.h"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 #include <queue>
+#include <type_traits>
 #include <unordered_set>
 
 #include "obs/obs.h"
@@ -74,18 +77,30 @@ TripleStore::IndexNode* TripleStore::FindNode(const IndexMap& map,
                                               std::string_view key) {
   for (IndexNode* n = map.buckets[Bucket(key)].load(std::memory_order_seq_cst);
        n != nullptr; n = n->next) {
-    if (n->key == key) return n;
+    if (n->key() == key) return n;
   }
   return nullptr;
 }
 
 TripleStore::IndexNode* TripleStore::FindOrCreateNode(IndexMap& map,
                                                       const std::string& key) {
+  // The first spine starts right after the header, and operator delete
+  // alone frees a node or a spine.
+  static_assert(sizeof(IndexNode) % alignof(Spine) == 0);
+  static_assert(std::is_trivially_destructible_v<IndexNode> &&
+                std::is_trivially_destructible_v<Spine>);
   IndexNode* found = FindNode(map, key);
   if (found != nullptr) return found;
   std::atomic<IndexNode*>& head = map.buckets[Bucket(key)];
-  // New node fully built (key, empty spine, next) before publication.
-  IndexNode* node = new IndexNode(key, head.load(std::memory_order_relaxed));
+  // New node fully built (first spine, key bytes, header) in one block
+  // before publication.
+  char* block = static_cast<char*>(
+      ::operator new(sizeof(IndexNode) + kFirstSpineBytes + key.size()));
+  new (block + sizeof(IndexNode)) Spine(kInitialSpineCap);
+  std::memcpy(block + sizeof(IndexNode) + kFirstSpineBytes, key.data(),
+              key.size());
+  IndexNode* node = new (block)
+      IndexNode(head.load(std::memory_order_relaxed), key.size());
   head.store(node, std::memory_order_seq_cst);
   return node;
 }
@@ -99,10 +114,10 @@ bool TripleStore::Post(IndexMap& map, const std::string& key, uint32_t slot,
 
 void TripleStore::AppendPosting(IndexNode* node, uint32_t slot,
                                 const Guts& guts) {
-  Spine* spine = node->list.spine.load(std::memory_order_relaxed);
+  Spine* spine = node->spine.load(std::memory_order_relaxed);
   uint64_t used = spine->used.load(std::memory_order_relaxed);
-  if (used < spine->slots.size()) {
-    spine->slots[used] = slot;
+  if (used < spine->cap) {
+    spine->slots()[used] = slot;
     spine->used.store(used + 1, std::memory_order_seq_cst);
     return;
   }
@@ -112,21 +127,26 @@ void TripleStore::AppendPosting(IndexNode* node, uint32_t slot,
   // least current(), so min(MinPinned, current) bounds every reachable
   // snapshot from below.
   uint64_t cutoff = std::min(epoch_.MinPinned(), epoch_.current());
-  Spine* grown = new Spine(std::max<size_t>(kInitialSpineCap, 2 * (used + 1)));
+  uint64_t cap = std::max<uint64_t>(kInitialSpineCap, 2 * (used + 1));
+  Spine* grown =
+      new (::operator new(sizeof(Spine) + cap * sizeof(uint32_t))) Spine(cap);
   uint64_t kept = 0;
   for (uint64_t i = 0; i < used; ++i) {
-    uint32_t s = spine->slots[i];
+    uint32_t s = spine->slots()[i];
     if (RecordAt(guts, s)->death.load(std::memory_order_relaxed) <= cutoff) {
       continue;
     }
-    grown->slots[kept++] = s;
+    grown->slots()[kept++] = s;
   }
-  grown->slots[kept++] = slot;
+  grown->slots()[kept++] = slot;
   grown->used.store(kept, std::memory_order_relaxed);  // published by the swap
-  node->list.spine.store(grown, std::memory_order_seq_cst);
-  // A reader pinned at the current epoch may already hold the old spine
-  // pointer, so it only becomes freeable one epoch later.
-  epoch_.Retire(epoch_.current() + 1, [spine] { delete spine; });
+  node->spine.store(grown, std::memory_order_seq_cst);
+  // The first spine goes with its node. A reader pinned at the current
+  // epoch may already hold a grown one, so that is freeable one epoch
+  // later.
+  if (spine != node->first_spine()) {
+    epoch_.Retire(epoch_.current() + 1, [spine] { ::operator delete(spine); });
+  }
 }
 
 void TripleStore::FreeGuts(Guts* guts) {
@@ -140,7 +160,9 @@ void TripleStore::FreeGuts(Guts* guts) {
       IndexNode* n = bucket.load(std::memory_order_relaxed);
       while (n != nullptr) {
         IndexNode* next = n->next;
-        delete n;  // ~PostingList frees the current spine
+        Spine* spine = n->spine.load(std::memory_order_relaxed);
+        if (spine != n->first_spine()) ::operator delete(spine);
+        ::operator delete(n);  // the node, its first spine and its key
         n = next;
       }
     }
@@ -309,10 +331,10 @@ Status TripleStore::RemoveLocked(const Triple& triple, WriterScope& ws) {
   };
   if (guts != nullptr) {
     if (IndexNode* sn = FindNode(guts->by_subject, triple.subject)) {
-      Spine* spine = sn->list.spine.load(std::memory_order_relaxed);
+      Spine* spine = sn->spine.load(std::memory_order_relaxed);
       uint64_t used = spine->used.load(std::memory_order_relaxed);
       for (uint64_t i = 0; i < used; ++i) {
-        Record* rec = RecordAt(*guts, spine->slots[i]);
+        Record* rec = RecordAt(*guts, spine->slots()[i]);
         if (!Visible(*rec, epoch)) continue;
         if (!(rec->triple == triple)) continue;
         rec->death.store(epoch, std::memory_order_relaxed);
@@ -495,10 +517,10 @@ bool TripleStore::Contains(const Triple& triple) const {
   const Guts* guts = guts_.load(std::memory_order_seq_cst);
   if (guts != nullptr) {
     if (const IndexNode* sn = FindNode(guts->by_subject, triple.subject)) {
-      const Spine* spine = sn->list.spine.load(std::memory_order_seq_cst);
+      const Spine* spine = sn->spine.load(std::memory_order_seq_cst);
       uint64_t used = spine->used.load(std::memory_order_seq_cst);
       for (uint64_t i = 0; i < used; ++i) {
-        Record* rec = RecordAt(*guts, spine->slots[i]);
+        Record* rec = RecordAt(*guts, spine->slots()[i]);
         if (Visible(*rec, pin.snapshot) && rec->triple == triple) {
           found = true;
           break;
@@ -523,11 +545,11 @@ TripleStore::PathChoice TripleStore::ChoosePath(const TriplePattern& pattern,
     if (node == nullptr) return 0;
     uint64_t live = node->live.load(std::memory_order_relaxed);
     if (live != 0) return live;
-    const Spine* spine = node->list.spine.load(std::memory_order_seq_cst);
+    const Spine* spine = node->spine.load(std::memory_order_seq_cst);
     uint64_t used = spine->used.load(std::memory_order_seq_cst);
     uint64_t visible = 0;
     for (uint64_t j = 0; j < used; ++j) {
-      if (Visible(*RecordAt(*guts, spine->slots[j]), snapshot)) ++visible;
+      if (Visible(*RecordAt(*guts, spine->slots()[j]), snapshot)) ++visible;
     }
     return visible;
   };
@@ -613,10 +635,10 @@ void TripleStore::SelectEach(const TriplePattern& pattern,
     }
   } else if (choice.node != nullptr) {
     const Spine* spine =
-        choice.node->list.spine.load(std::memory_order_seq_cst);
+        choice.node->spine.load(std::memory_order_seq_cst);
     uint64_t used = spine->used.load(std::memory_order_seq_cst);
     for (uint64_t j = 0; j < used; ++j) {
-      if (!visit(RecordAt(*guts, spine->slots[j]))) break;
+      if (!visit(RecordAt(*guts, spine->slots()[j]))) break;
     }
   }
   EndRead(pin);
@@ -662,10 +684,10 @@ std::vector<Triple> TripleStore::ViewFrom(const std::string& resource) const {
     frontier.pop();
     const IndexNode* sn = FindNode(guts->by_subject, cur);
     if (sn == nullptr) continue;
-    const Spine* spine = sn->list.spine.load(std::memory_order_seq_cst);
+    const Spine* spine = sn->spine.load(std::memory_order_seq_cst);
     uint64_t used = spine->used.load(std::memory_order_seq_cst);
     for (uint64_t i = 0; i < used; ++i) {
-      Record* rec = RecordAt(*guts, spine->slots[i]);
+      Record* rec = RecordAt(*guts, spine->slots()[i]);
       if (!Visible(*rec, pin.snapshot)) continue;
       const Triple& t = rec->triple;
       out.push_back(t);
@@ -694,10 +716,10 @@ std::vector<std::string> TripleStore::ReachableResources(
     frontier.pop();
     const IndexNode* sn = FindNode(guts->by_subject, cur);
     if (sn == nullptr) continue;
-    const Spine* spine = sn->list.spine.load(std::memory_order_seq_cst);
+    const Spine* spine = sn->spine.load(std::memory_order_seq_cst);
     uint64_t used = spine->used.load(std::memory_order_seq_cst);
     for (uint64_t i = 0; i < used; ++i) {
-      Record* rec = RecordAt(*guts, spine->slots[i]);
+      Record* rec = RecordAt(*guts, spine->slots()[i]);
       if (!Visible(*rec, pin.snapshot)) continue;
       const Triple& t = rec->triple;
       if (t.object.is_resource() && visited.insert(t.object.text).second) {

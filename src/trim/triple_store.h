@@ -305,28 +305,48 @@ class TripleStore {
   struct Chunk {
     Record records[kChunkSize];
   };
-  /// Posting-list storage: fixed-capacity slot array + published count.
+  /// Posting-list storage, one heap block: this header, then `cap` record
+  /// slots. Slots below `used` are published and never rewritten.
   struct Spine {
-    explicit Spine(size_t cap) : slots(cap) {}
-    std::vector<uint32_t> slots;
+    explicit Spine(uint64_t capacity) : cap(capacity) {}
+    uint32_t* slots() {
+      return reinterpret_cast<uint32_t*>(reinterpret_cast<char*>(this) +
+                                         sizeof(Spine));
+    }
+    const uint32_t* slots() const {
+      return reinterpret_cast<const uint32_t*>(
+          reinterpret_cast<const char*>(this) + sizeof(Spine));
+    }
     std::atomic<uint64_t> used{0};
+    const uint64_t cap;
   };
-  struct PostingList {
-    PostingList() : spine(new Spine(kInitialSpineCap)) {}
-    ~PostingList() { delete spine.load(std::memory_order_relaxed); }
-    std::atomic<Spine*> spine;
-  };
-  /// Chained hash node; nodes are append-at-head and never unlinked
-  /// (whole-guts compaction is the only way a key disappears).
+  static constexpr size_t kFirstSpineBytes =
+      sizeof(Spine) + kInitialSpineCap * sizeof(uint32_t);
+  /// Chained hash node, one heap block: this header, the key's first spine
+  /// (kInitialSpineCap slots), then the key's bytes. Nodes are
+  /// append-at-head and never unlinked (whole-guts compaction is the only
+  /// way a key disappears). The first spine is never retired: once the
+  /// key outgrows it nothing writes to it again, and it goes with its node.
   struct IndexNode {
-    IndexNode(std::string k, IndexNode* nxt) : key(std::move(k)), next(nxt) {}
-    const std::string key;
-    PostingList list;
+    IndexNode(IndexNode* nxt, size_t key_bytes)
+        : next(nxt), spine(first_spine()), key_size(key_bytes) {}
+    Spine* first_spine() {
+      return reinterpret_cast<Spine*>(reinterpret_cast<char*>(this) +
+                                      sizeof(IndexNode));
+    }
+    std::string_view key() const {
+      return {reinterpret_cast<const char*>(this) + sizeof(IndexNode) +
+                  kFirstSpineBytes,
+              key_size};
+    }
+    IndexNode* const next;
+    /// The key's posting list: the first spine, or the latest grown copy.
+    std::atomic<Spine*> spine;
     /// Live postings under this key, for access-path sizing and the
     /// Distinct*() counters. Exact for the latest state; a pinned reader
     /// may see it ahead of its snapshot.
     std::atomic<uint64_t> live{0};
-    IndexNode* const next;
+    const size_t key_size;
   };
   struct IndexMap {
     std::array<std::atomic<IndexNode*>, kIndexBuckets> buckets{};

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "mark/mark_manager.h"
 #include "obs/obs.h"
 #include "slim/query.h"
+#include "slimpad/slimpad_app.h"
 #include "slimpad/slimpad_dmi.h"
 
 namespace slim::store {
@@ -36,6 +40,147 @@ TEST(QueryParseTest, Rejections) {
         "?s p o x p2 o2", ". . ."}) {
     EXPECT_FALSE(Query::Parse(bad).ok()) << bad;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Binding: the std::map subset callers use, over one name-sorted vector
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> Names(const Binding& b) {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : b) out.push_back(name);
+  return out;
+}
+
+TEST(BindingTest, AtThrowsOnMissingName) {
+  Binding b;
+  b.emplace("s", BoundValue::Resource("inst:1"));
+  EXPECT_EQ(b.at("s").text, "inst:1");
+  EXPECT_THROW((void)b.at("t"), std::out_of_range);
+  const Binding& cb = b;
+  EXPECT_THROW((void)cb.at(""), std::out_of_range);
+  EXPECT_EQ(b.count("s"), 1u);
+  EXPECT_EQ(b.count("t"), 0u);
+  EXPECT_EQ(cb.find("t"), cb.end());
+}
+
+TEST(BindingTest, EmplaceNeverOverwritesAndIndexDefaultInserts) {
+  Binding b;
+  auto [first, inserted] = b.emplace("n", BoundValue::Literal("K 4.2"));
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(first->second.text, "K 4.2");
+  auto [again, reinserted] = b.emplace("n", BoundValue::Literal("Na 140"));
+  EXPECT_FALSE(reinserted);
+  EXPECT_EQ(again->second.text, "K 4.2");
+  EXPECT_EQ(b.size(), 1u);
+
+  BoundValue& fresh = b["m"];
+  EXPECT_EQ(fresh, BoundValue{});
+  EXPECT_EQ(b.size(), 2u);
+  b["m"] = BoundValue::Resource("inst:9");
+  EXPECT_EQ(b.at("m").text, "inst:9");
+  EXPECT_EQ(b["n"].text, "K 4.2");  // an existing name is not reset
+  EXPECT_EQ(b.size(), 2u);
+}
+
+TEST(BindingTest, IterationFollowsNameOrderWhateverTheInsertionOrder) {
+  const std::vector<std::string> sorted = {"a", "b", "m", "s", "z"};
+  for (const std::vector<std::string>& order :
+       std::vector<std::vector<std::string>>{{"z", "m", "a", "s", "b"},
+                                             {"a", "b", "m", "s", "z"},
+                                             {"z", "s", "m", "b", "a"}}) {
+    Binding by_emplace, by_index;
+    for (const std::string& name : order) {
+      by_emplace.emplace(name, BoundValue::Literal(name));
+      by_index[name] = BoundValue::Literal(name);
+    }
+    EXPECT_EQ(Names(by_emplace), sorted);
+    EXPECT_EQ(Names(by_index), sorted);
+    EXPECT_EQ(by_emplace, by_index);
+    for (const auto& [name, value] : by_emplace) EXPECT_EQ(value.text, name);
+  }
+}
+
+TEST(BindingTest, EqualityAndIndependentCopies) {
+  Binding a;
+  a.emplace("s", BoundValue::Resource("inst:1"));
+  a.emplace("n", BoundValue::Literal("x"));
+  Binding b = a;
+  EXPECT_EQ(a, b);
+  b["n"] = BoundValue::Literal("y");
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a.at("n").text, "x");
+  Binding c = a;
+  c.at("s").kind = trim::ObjectKind::kLiteral;  // same text, other kind
+  EXPECT_NE(a, c);
+  Binding d = a;
+  d.emplace("z", BoundValue::Literal("extra"));
+  EXPECT_NE(a, d);
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(Binding{}, Binding{});
+}
+
+// ---------------------------------------------------------------------------
+// Bounded query size
+// ---------------------------------------------------------------------------
+
+// `?a p ?a` repeated `n` times, as text and as a built query.
+std::string RepeatedClauseText(size_t n) {
+  std::string text;
+  for (size_t i = 0; i < n; ++i) text += i ? " . ?a p ?a" : "?a p ?a";
+  return text;
+}
+Query RepeatedClauseQuery(size_t n) {
+  Query q;
+  for (size_t i = 0; i < n; ++i) {
+    q.Where(QueryTerm::Var("a"), QueryTerm::Res("p"), QueryTerm::Var("a"));
+  }
+  return q;
+}
+
+TEST(QueryBoundTest, ParseAcceptsTheLimitAndRejectsOneMore) {
+  auto at_limit = Query::Parse(RepeatedClauseText(kMaxQueryClauses));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status();
+  EXPECT_EQ(at_limit->clauses().size(), kMaxQueryClauses);
+  auto past = Query::Parse(RepeatedClauseText(kMaxQueryClauses + 1));
+  ASSERT_FALSE(past.ok());
+  EXPECT_TRUE(past.status().IsParseError()) << past.status();
+  EXPECT_NE(past.status().ToString().find("1000"), std::string::npos)
+      << past.status();
+}
+
+TEST(QueryBoundTest, BuiltQueriesPastTheLimitFailBeforePlanning) {
+  trim::TripleStore store;
+  ASSERT_TRUE(store.AddResource("x", "p", "x").ok());
+  auto rows = Execute(store, RepeatedClauseQuery(kMaxQueryClauses));
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0].at("a").text, "x");
+
+  const Query past = RepeatedClauseQuery(kMaxQueryClauses + 1);
+  auto executed = Execute(store, past);
+  EXPECT_TRUE(executed.status().IsInvalidArgument()) << executed.status();
+  EXPECT_NE(executed.status().ToString().find("1001"), std::string::npos)
+      << executed.status();
+  EXPECT_TRUE(Explain(store, past).status().IsInvalidArgument());
+  EXPECT_TRUE(ExplainAnalyze(store, past).status().IsInvalidArgument());
+}
+
+// About 200 KB of query text once planned for seconds and then overflowed
+// the executor's stack; every entry point now answers with a status.
+TEST(QueryBoundTest, TwentyThousandClausesReturnAStatus) {
+  constexpr size_t kHuge = 20000;
+  trim::TripleStore store;
+  ASSERT_TRUE(store.AddResource("x", "p", "x").ok());
+  const std::string text = RepeatedClauseText(kHuge);
+  EXPECT_TRUE(ExecuteText(store, text).status().IsParseError());
+  EXPECT_TRUE(
+      Execute(store, RepeatedClauseQuery(kHuge)).status().IsInvalidArgument());
+
+  mark::MarkManager marks;
+  pad::SlimPadApp app(&marks);
+  ASSERT_TRUE(app.NewPad("bounded").ok());
+  EXPECT_TRUE(app.QueryPad(text).status().IsParseError());
 }
 
 class QueryExecTest : public ::testing::Test {
@@ -180,6 +325,18 @@ TEST_F(QueryExecTest, ProgrammaticBuilder) {
   auto rows = Execute(store_, q);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 3u);
+}
+
+TEST_F(QueryExecTest, SolutionsIterateInVariableNameOrder) {
+  // Variables first appear as ?z ?a ?m; every solution lists a, m, z.
+  auto rows = ExecuteText(store_,
+                          "?z scrapMark ?a . ?a markId ?m");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ(Names((*rows)[0]), (std::vector<std::string>{"a", "m", "z"}));
+  EXPECT_EQ((*rows)[0].at("z").text, s2_);
+  EXPECT_EQ((*rows)[0].at("a").text, h1_);
+  EXPECT_EQ((*rows)[0].at("m").text, "mark7");
 }
 
 TEST_F(QueryExecTest, QueryOverRealPad) {

@@ -15,7 +15,10 @@
 //    bound;
 //  - exact accounting: size(), Distinct*(), ComputeStats and the
 //    planner's per-key counts always equal a recount of the live triples,
-//    across pins, Clear() and compaction.
+//    across pins, Clear() and compaction;
+//  - the index-node layout: a snapshot pinned while a key's postings fit
+//    in the spine inside its node keeps reading exactly its rows while
+//    the key grows through external spines, shrinks, and is compacted.
 
 #include <gtest/gtest.h>
 
@@ -559,6 +562,104 @@ TEST(StoreConcurrency, CountsMatchRecountThroughClearAndCompaction) {
     // At least one compaction dropped more dead records than the floor.
     EXPECT_GT(largest_compaction, 1024u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Index-node layout: the first spine lives in the node
+// ---------------------------------------------------------------------------
+
+// A key's first kInitialSpineCap (4) postings live in a spine inside its
+// index node, which is never retired; a key that outgrows it moves to
+// external spines, each retired through the epoch limbo when it is
+// replaced. A snapshot pinned while the key has 3 postings must read
+// exactly those rows while the writer grows the key to 2,048 postings,
+// removes every other one and reclaims under the pin; once the pin goes, a
+// whole-log compaction rebuilds the key in fresh nodes. `pin_on_writer`
+// holds the pin on the writer's own thread, otherwise on a second thread
+// that reads concurrently with every write.
+void GrowKeyPastItsNodeUnderPin(bool pin_on_writer) {
+  constexpr int kPostings = 2048;
+  TripleStore store;
+  const TriplePattern by_key = TriplePattern::BySubject("grown");
+  auto value = [](int i) { return Lit("grown", "p", "v" + std::to_string(i)); };
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(store.Add(value(i)).ok());
+  const std::multiset<std::string> pinned_rows =
+      Render({value(0), value(1), value(2)});
+
+  std::optional<TripleStore::Snapshot> writer_pin;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> bad_reads{0};
+  std::thread reader;
+  auto read_pinned = [&] {
+    if (Render(store.Select(by_key)) != pinned_rows) {
+      bad_reads.fetch_add(1, std::memory_order_relaxed);
+    }
+    reads.fetch_add(1, std::memory_order_relaxed);
+  };
+  if (pin_on_writer) {
+    writer_pin.emplace(store);
+  } else {
+    std::promise<void> pinned;
+    std::future<void> is_pinned = pinned.get_future();
+    reader = std::thread([&, pinned = std::move(pinned)]() mutable {
+      TripleStore::Snapshot pin(store);
+      pinned.set_value();
+      while (!done.load(std::memory_order_acquire)) read_pinned();
+      read_pinned();  // after the writer's reclaim under this pin
+    });
+    is_pinned.wait();
+  }
+
+  // EXPECT, not ASSERT, until the reader is joined.
+  for (int i = 3; i < kPostings; ++i) {
+    EXPECT_TRUE(store.Add(value(i)).ok());
+    if (pin_on_writer && i % 64 == 0) read_pinned();
+  }
+  std::vector<Triple> model;  // live after the removals: the even values
+  for (int i = 0; i < kPostings; ++i) {
+    if (i % 2 == 0) {
+      model.push_back(value(i));
+      continue;
+    }
+    EXPECT_TRUE(store.Remove(value(i)).ok());
+    if (pin_on_writer && i % 64 == 1) read_pinned();
+  }
+  // The pin holds every grown spine the writer replaced, and the dead
+  // records, so nothing it can read is freed and the log is not compacted.
+  store.ReclaimRetired();
+  EXPECT_GT(store.GetEpochStats().limbo, 0u);
+  EXPECT_EQ(ComputeStats(store).tombstoned,
+            static_cast<uint64_t>(kPostings / 2));
+  if (pin_on_writer) {
+    read_pinned();
+    writer_pin.reset();
+  } else {
+    done.store(true, std::memory_order_release);
+    reader.join();
+  }
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(bad_reads.load(), 0u);
+
+  // Unpinned: the whole log compacts and the limbo drains.
+  store.ReclaimRetired();
+  EXPECT_EQ(ComputeStats(store).tombstoned, 0u);
+  EXPECT_EQ(store.GetEpochStats().limbo, 0u);
+  EXPECT_EQ(Render(store.Select(by_key)), Render(model));
+  EXPECT_EQ(store.size(), model.size());
+  TripleStore::AccessPlan plan = store.PlanAccess(by_key);
+  EXPECT_EQ(plan.path, TripleStore::IndexPath::kSubject);
+  EXPECT_EQ(plan.candidates, model.size());
+  for (const Triple& t : model) EXPECT_TRUE(store.Contains(t));
+  EXPECT_FALSE(store.Contains(value(1)));
+}
+
+TEST(StoreConcurrency, PinOnWriterThreadReadsKeyThroughGrowthAndCompaction) {
+  GrowKeyPastItsNodeUnderPin(/*pin_on_writer=*/true);
+}
+
+TEST(StoreConcurrency, PinOnReaderThreadReadsKeyThroughGrowthAndCompaction) {
+  GrowKeyPastItsNodeUnderPin(/*pin_on_writer=*/false);
 }
 
 }  // namespace
