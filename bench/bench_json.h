@@ -15,7 +15,7 @@
 ///   {
 ///     "schema": "slim-bench-v1",
 ///     "bench": "query",                // binary name minus "bench_"
-///     "git_sha": "9e026d7",            // or "unknown" outside a checkout
+///     "git_sha": "9e026d7",            // "-dirty" if uncommitted; "unknown" outside a checkout
 ///     "build_flags": "Release -O2 ...",
 ///     "obs_enabled": true,             // SLIM_ENABLE_OBS at compile time
 ///     "benchmarks": [

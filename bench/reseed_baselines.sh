@@ -8,8 +8,9 @@
 #
 # The build directory is reused across runs. Run it on an otherwise idle
 # machine: about fifteen minutes on 4 cores, most of it the benches
-# themselves. Each file is stamped with the checkout's HEAD at the run,
-# also when the working tree has uncommitted changes.
+# themselves. Each file is stamped with the checkout's HEAD when the build
+# is configured, with "-dirty" appended when the working tree changes
+# CMakeLists.txt, src/ or bench/ (see bench/CMakeLists.txt).
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -296,35 +296,40 @@ int64_t NowNs() {
       .count();
 }
 
-// A variable's current value. `text` views a string inside a store
-// record, which stays valid only while the execution's
-// TripleStore::Snapshot is held: a record visible at the pinned epoch has
-// its payload cleared only after every pin passes its death epoch, and
-// compaction frees old records only after the same wait.
+using KeyId = trim::TripleStore::KeyId;
+
+// A variable's current value: the text it prints as and the key id the
+// store gave that text in the execution's KeyView. `text` views a string
+// inside a store record, which stays valid only while the view (and the
+// execution's TripleStore::Snapshot) is held: a record visible at the
+// pinned epoch has its payload cleared only after every pin passes its
+// death epoch, and compaction frees old records only after the same wait.
 struct Slot {
   trim::ObjectKind kind = trim::ObjectKind::kResource;
   std::string_view text;
-
-  friend bool operator==(const Slot&, const Slot&) = default;
+  KeyId key = trim::TripleStore::kNoKey;
 };
 
 // How one field of one step is handled.
 enum class Use {
   kConstant,  // a query constant, fixed in the step's pattern
-  kProbe,     // bound by an earlier step: written into the pattern per probe
+  kProbe,     // bound by an earlier step: its key is probed per row
   kBind,      // first occurrence: binds the slot from the matched row
   kAgree,     // repeated within the clause: the row must match the slot
 };
 
 struct ExecStep {
-  trim::TriplePattern pattern;  // constants; kProbe fields set per probe
+  trim::TriplePattern constants;   // the clause's query constants
+  trim::TripleStore::KeyPattern keys;  // constants resolved for one run
   std::array<Use, 3> use{};
   std::array<size_t, 3> slot{};
 };
 
 // The one executor: an index-nested-loop join over `plan.steps`, with
 // bindings in a dense slot vector (one slot per variable, in variable-name
-// order) copied into one flat Binding per solution.
+// order) copied into one flat Binding per solution. It probes and matches
+// by key id through one KeyView, so a value read from one row reaches the
+// next step's postings without hashing its text.
 class Executor {
  public:
   Executor(const trim::TripleStore& store, const Query& query,
@@ -338,7 +343,7 @@ class Executor {
       const QueryClause& clause =
           query.clauses()[plan.steps[step].clause_index];
       ExecStep es;
-      es.pattern = ConstantPattern(clause);
+      es.constants = ConstantPattern(clause);
       std::array<const QueryTerm*, 3> terms = Terms(clause);
       for (size_t f = 0; f < 3; ++f) {
         if (!terms[f]->is_variable()) continue;
@@ -353,21 +358,23 @@ class Executor {
           es.use[f] = bound_at[slot] == step + 1 ? Use::kAgree : Use::kProbe;
         }
       }
-      if (es.use[kSubject] == Use::kProbe) es.pattern.subject.emplace();
-      if (es.use[kProperty] == Use::kProbe) es.pattern.property.emplace();
-      if (es.use[kObject] == Use::kProbe) es.pattern.object.emplace();
       steps_.push_back(std::move(es));
     }
   }
 
   // Appends every solution to `out`; with `actuals`, attributes each
   // step's probes, rows and wall time. The caller's `pin` must outlive the
-  // run (see Slot).
+  // run (see Slot); the run's KeyView nests under it and captures the
+  // store's log once, and every constant is resolved against it once.
   void Run(const trim::TripleStore::Snapshot& /*pin*/,
            std::vector<Binding>* out, std::vector<StepActuals>* actuals) {
+    trim::TripleStore::KeyView view(store_);
+    for (ExecStep& step : steps_) step.keys = view.Resolve(step.constants);
+    view_ = &view;
     out_ = out;
     actuals_ = actuals;
     Walk(0);
+    view_ = nullptr;
   }
 
  private:
@@ -378,61 +385,62 @@ class Executor {
       Emit();
       return;
     }
-    ExecStep& step = steps_[depth];
+    const ExecStep& step = steps_[depth];
+    trim::TripleStore::KeyPattern pattern = step.keys;
     if (step.use[kSubject] == Use::kProbe) {
-      step.pattern.subject->assign(slots_[step.slot[kSubject]].text);
+      pattern.subject = slots_[step.slot[kSubject]].key;
     }
     if (step.use[kProperty] == Use::kProbe) {
-      step.pattern.property->assign(slots_[step.slot[kProperty]].text);
+      pattern.property = slots_[step.slot[kProperty]].key;
     }
     if (step.use[kObject] == Use::kProbe) {
       const Slot& value = slots_[step.slot[kObject]];
-      step.pattern.object->kind = value.kind;
-      step.pattern.object->text.assign(value.text);
+      pattern.object = value.key;
+      pattern.object_kind = value.kind;
     }
-    struct Frame {
-      size_t depth;
-      StepActuals* actuals;
-      int64_t nested_ns;
-    } frame{depth, actuals_ != nullptr ? &(*actuals_)[depth] : nullptr, 0};
+    StepActuals* actuals =
+        actuals_ != nullptr ? &(*actuals_)[depth] : nullptr;
+    int64_t nested_ns = 0;
     trim::TripleStore::SelectStats stats;
-    int64_t start = frame.actuals != nullptr ? NowNs() : 0;
-    // Two pointers of capture keep the std::function allocation-free.
-    store_.SelectEach(
-        step.pattern,
-        [this, &frame](const trim::Triple& t) {
-          if (!Bind(steps_[frame.depth], t)) return true;
-          if (frame.actuals == nullptr) {
-            Walk(frame.depth + 1);
+    int64_t start = actuals != nullptr ? NowNs() : 0;
+    view_->SelectEach(
+        pattern,
+        [&](const trim::TripleStore::Row& row) {
+          if (!Bind(step, row)) return true;
+          if (actuals == nullptr) {
+            Walk(depth + 1);
             return true;
           }
-          ++frame.actuals->rows_out;
+          ++actuals->rows_out;
           int64_t nested_start = NowNs();
-          Walk(frame.depth + 1);
-          frame.nested_ns += NowNs() - nested_start;
+          Walk(depth + 1);
+          nested_ns += NowNs() - nested_start;
           return true;
         },
-        frame.actuals != nullptr ? &stats : nullptr);
-    if (frame.actuals != nullptr) {
-      frame.actuals->wall_ns += NowNs() - start - frame.nested_ns;
-      ++frame.actuals->probes;
-      frame.actuals->rows_examined += stats.examined;
-      frame.actuals->rows_matched += stats.matched;
+        actuals != nullptr ? &stats : nullptr);
+    if (actuals != nullptr) {
+      actuals->wall_ns += NowNs() - start - nested_ns;
+      ++actuals->probes;
+      actuals->rows_examined += stats.examined;
+      actuals->rows_matched += stats.matched;
     }
   }
 
-  // Binds the step's free variables from `t`. Subject and property values
-  // are resources; a variable repeated within the clause must agree with
-  // itself, kind included.
-  bool Bind(const ExecStep& step, const trim::Triple& t) {
-    const std::array<Slot, 3> row = {
-        Slot{trim::ObjectKind::kResource, t.subject},
-        Slot{trim::ObjectKind::kResource, t.property},
-        Slot{t.object.kind, t.object.text}};
+  // Binds the step's free variables from `row`. Subject and property
+  // values are resources; a variable repeated within the clause must agree
+  // with itself, kind and key id.
+  bool Bind(const ExecStep& step, const trim::TripleStore::Row& row) {
+    const trim::Triple& t = row.triple;
+    const std::array<Slot, 3> values = {
+        Slot{trim::ObjectKind::kResource, t.subject, row.subject},
+        Slot{trim::ObjectKind::kResource, t.property, row.property},
+        Slot{t.object.kind, t.object.text, row.object}};
     for (size_t f = 0; f < 3; ++f) {
       if (step.use[f] == Use::kBind) {
-        slots_[step.slot[f]] = row[f];
-      } else if (step.use[f] == Use::kAgree && slots_[step.slot[f]] != row[f]) {
+        slots_[step.slot[f]] = values[f];
+      } else if (step.use[f] == Use::kAgree &&
+                 (slots_[step.slot[f]].kind != values[f].kind ||
+                  slots_[step.slot[f]].key != values[f].key)) {
         return false;
       }
     }
@@ -452,6 +460,7 @@ class Executor {
   std::vector<std::string> names_;  // slot -> variable name, sorted
   std::vector<Slot> slots_;
   std::vector<ExecStep> steps_;
+  const trim::TripleStore::KeyView* view_ = nullptr;
   std::vector<Binding>* out_ = nullptr;
   std::vector<StepActuals>* actuals_ = nullptr;
 };

@@ -128,7 +128,9 @@ class SlimPadApp {
   /// Saves pad data (triples) and marks side by side:
   /// `<path>` and `<path>.marks`.
   Status SavePad(const std::string& path) const;
-  /// Loads both files and re-binds the current pad.
+  /// Loads both files and re-binds the current pad. All or nothing: when
+  /// either file fails to read or check, the marks and the triples are
+  /// left as they were.
   Status LoadPad(const std::string& path);
 
   /// Per-app gesture metrics (`slimpad.*`). The same events also land in

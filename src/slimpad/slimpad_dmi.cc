@@ -26,6 +26,53 @@ constexpr const char* kScrapMark = "scrapMark";
 constexpr const char* kMarkId = "markId";
 constexpr const char* kScrapAnnotation = "scrapAnnotation";
 constexpr const char* kScrapLink = "scrapLink";
+
+// One instance's statements in store order, read with one SelectEach over
+// its subject. The rows point into store records, so the caller holds a
+// TripleStore::Snapshot while an InstanceRows lives.
+class InstanceRows {
+ public:
+  InstanceRows(const trim::TripleStore& store, const std::string& id)
+      : id_(id) {
+    store.SelectEach(trim::TriplePattern::BySubject(id),
+                     [this](const trim::Triple& t) {
+                       rows_.push_back(&t);
+                       return true;
+                     });
+  }
+
+  /// store::InstanceGraph::GetValue over the rows: the first statement
+  /// with `property` must be a literal.
+  Result<std::string> Value(std::string_view property) const {
+    for (const trim::Triple* t : rows_) {
+      if (t->property != property) continue;
+      if (t->object.is_resource()) break;
+      return t->object.text;
+    }
+    return Status::NotFound("instance '" + id_ +
+                            "' has no literal value for '" +
+                            std::string(property) + "'");
+  }
+
+  /// The `kind` objects of `property`, in store order.
+  std::vector<std::string> Objects(std::string_view property,
+                                   trim::ObjectKind kind) const {
+    std::vector<std::string> out;
+    for (const trim::Triple* t : rows_) {
+      if (t->property == property && t->object.kind == kind) {
+        out.push_back(t->object.text);
+      }
+    }
+    return out;
+  }
+  std::vector<std::string> Connected(std::string_view property) const {
+    return Objects(property, trim::ObjectKind::kResource);
+  }
+
+ private:
+  const std::string& id_;
+  std::vector<const trim::Triple*> rows_;
+};
 }  // namespace
 
 std::string Coordinate::ToString() const {
@@ -516,69 +563,60 @@ Status SlimPadDmi::RebuildFromTriples() {
     SLIM_RETURN_NOT_OK(schema_.ToTriples(store_));
   }
 
-  // Pass 1: materialize objects by type.
+  // One pass per instance over its own statements, by type, then the
+  // parent links once every bundle exists.
+  trim::TripleStore::Snapshot snapshot(*store_);
   for (const std::string& id : instances_.InstancesOf(TypeResource("SlimPad"))) {
+    InstanceRows rows(*store_, id);
     auto pad = std::make_unique<SlimPad>();
     pad->id_ = id;
-    SLIM_ASSIGN_OR_RETURN(pad->pad_name_, instances_.GetValue(id, kPadName));
+    SLIM_ASSIGN_OR_RETURN(pad->pad_name_, rows.Value(kPadName));
+    std::vector<std::string> roots = rows.Connected(kRootBundle);
+    if (!roots.empty()) pad->root_bundle_ = std::move(roots.front());
     pads_[id] = std::move(pad);
   }
   for (const std::string& id : instances_.InstancesOf(TypeResource("Bundle"))) {
+    InstanceRows rows(*store_, id);
     auto bundle = std::make_unique<Bundle>();
     bundle->id_ = id;
-    SLIM_ASSIGN_OR_RETURN(bundle->name_, instances_.GetValue(id, kBundleName));
-    SLIM_ASSIGN_OR_RETURN(std::string pos_text,
-                          instances_.GetValue(id, kBundlePos));
+    SLIM_ASSIGN_OR_RETURN(bundle->name_, rows.Value(kBundleName));
+    SLIM_ASSIGN_OR_RETURN(std::string pos_text, rows.Value(kBundlePos));
     SLIM_ASSIGN_OR_RETURN(bundle->pos_, Coordinate::Parse(pos_text));
-    SLIM_ASSIGN_OR_RETURN(std::string w, instances_.GetValue(id, kBundleWidth));
-    SLIM_ASSIGN_OR_RETURN(std::string h,
-                          instances_.GetValue(id, kBundleHeight));
+    SLIM_ASSIGN_OR_RETURN(std::string w, rows.Value(kBundleWidth));
+    SLIM_ASSIGN_OR_RETURN(std::string h, rows.Value(kBundleHeight));
     if (!ParseDouble(w, &bundle->width_) || !ParseDouble(h, &bundle->height_)) {
       return Status::ParseError("bundle '" + id + "': bad geometry");
     }
+    bundle->scraps_ = rows.Connected(kBundleContent);
+    bundle->nested_bundles_ = rows.Connected(kNestedBundle);
     bundles_[id] = std::move(bundle);
   }
   for (const std::string& id : instances_.InstancesOf(TypeResource("Scrap"))) {
+    InstanceRows rows(*store_, id);
     auto scrap = std::make_unique<Scrap>();
     scrap->id_ = id;
-    SLIM_ASSIGN_OR_RETURN(scrap->name_, instances_.GetValue(id, kScrapName));
-    SLIM_ASSIGN_OR_RETURN(std::string pos_text,
-                          instances_.GetValue(id, kScrapPos));
+    SLIM_ASSIGN_OR_RETURN(scrap->name_, rows.Value(kScrapName));
+    SLIM_ASSIGN_OR_RETURN(std::string pos_text, rows.Value(kScrapPos));
     SLIM_ASSIGN_OR_RETURN(scrap->pos_, Coordinate::Parse(pos_text));
+    scrap->mark_handles_ = rows.Connected(kScrapMark);
+    scrap->linked_scraps_ = rows.Connected(kScrapLink);
+    scrap->annotations_ =
+        rows.Objects(kScrapAnnotation, trim::ObjectKind::kLiteral);
     scraps_[id] = std::move(scrap);
   }
   for (const std::string& id :
        instances_.InstancesOf(TypeResource("MarkHandle"))) {
+    InstanceRows rows(*store_, id);
     auto handle = std::make_unique<MarkHandle>();
     handle->id_ = id;
-    SLIM_ASSIGN_OR_RETURN(handle->mark_id_, instances_.GetValue(id, kMarkId));
+    SLIM_ASSIGN_OR_RETURN(handle->mark_id_, rows.Value(kMarkId));
     handles_[id] = std::move(handle);
   }
-
-  // Pass 2: structure.
-  for (auto& [id, pad] : pads_) {
-    auto roots = instances_.GetConnected(id, kRootBundle);
-    if (!roots.empty()) pad->root_bundle_ = roots.front();
-  }
   for (auto& [id, bundle] : bundles_) {
-    bundle->scraps_ = instances_.GetConnected(id, kBundleContent);
-    bundle->nested_bundles_ = instances_.GetConnected(id, kNestedBundle);
     for (const std::string& child : bundle->nested_bundles_) {
       auto cit = bundles_.find(child);
       if (cit != bundles_.end()) cit->second->parent_ = id;
     }
-  }
-  for (auto& [id, scrap] : scraps_) {
-    scrap->mark_handles_ = instances_.GetConnected(id, kScrapMark);
-    scrap->linked_scraps_ = instances_.GetConnected(id, kScrapLink);
-    store_->SelectEach(
-        trim::TriplePattern::BySubjectProperty(id, kScrapAnnotation),
-        [&](const trim::Triple& t) {
-          if (!t.object.is_resource()) {
-            scrap->annotations_.push_back(t.object.text);
-          }
-          return true;
-        });
   }
   return Status::OK();
 }

@@ -85,9 +85,10 @@ class EpochManager {
   /// `MinPinned() >= safe_epoch`. Callers pass
   ///  - `death_epoch` for record payloads (a reader pinned at or past the
   ///    death epoch can no longer see the record), and
-  ///  - `current() + 1` for replaced structures (spines, store guts): a
-  ///    reader pinned at the current epoch may already hold the old
-  ///    pointer, so the epoch must advance past it first.
+  ///  - `current() + 1` for replaced structures (spines, key hash
+  ///    indexes, store guts): a reader pinned at the current epoch may
+  ///    already hold the old pointer, so the epoch must advance past it
+  ///    first.
   /// Safe epochs are monotone in retirement order, so FIFO reclamation
   /// preserves payload-before-container ordering.
   void Retire(uint64_t safe_epoch, std::function<void()> reclaim);

@@ -220,31 +220,6 @@ Status ReadStatements(std::string_view xml_text, std::vector<WriteOp>* adds) {
   return first_error;
 }
 
-// Replaces the contents of `store` with `adds` in one epoch: remove every
-// live triple, then add the file's, so a concurrent reader sees the old
-// store or the loaded one.
-Status ReplaceContents(std::vector<WriteOp> adds, TripleStore* store) {
-  std::vector<WriteOp> batch;
-  store->ForEach(
-      [&](const Triple& t) { batch.push_back(WriteOp::RemoveOp(t)); });
-  const size_t removes = batch.size();
-  if (removes == 0) {
-    batch = std::move(adds);
-  } else {
-    batch.reserve(removes + adds.size());
-    for (WriteOp& op : adds) batch.push_back(std::move(op));
-  }
-  TripleStore::BatchResult result = store->ApplyBatch(std::move(batch));
-  // A bulk load retires many outgrown posting lists in its one epoch; free
-  // them now rather than at some later write.
-  store->ReclaimRetired();
-  // A remove can only miss a triple a concurrent writer already removed.
-  for (size_t i = removes; i < result.statuses.size(); ++i) {
-    if (!result.statuses[i].ok()) return result.statuses[i];
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 std::string StoreToXml(const TripleStore& store) {
@@ -260,6 +235,29 @@ Status StoreFromXml(std::string_view xml_text, TripleStore* store) {
   return ReplaceContents(std::move(adds), store);
 }
 
+Status ReplaceContents(std::vector<WriteOp> adds, TripleStore* store) {
+  if (store == nullptr) return Status::InvalidArgument("null store");
+  // One clear op, then the adds, under one writer lock: nothing another
+  // writer commits can land between the removals and the adds. The adds
+  // skip the duplicate probe: ReadStatements rejected repeats, and every
+  // old triple is dead at the batch's epoch.
+  std::vector<WriteOp> batch;
+  batch.reserve(adds.size() + 1);
+  batch.push_back(WriteOp::ClearOp());
+  for (WriteOp& op : adds) {
+    op.allow_duplicates = true;
+    batch.push_back(std::move(op));
+  }
+  TripleStore::BatchResult result = store->ApplyBatch(std::move(batch));
+  // A bulk load retires many outgrown posting lists in its one epoch; free
+  // them now rather than at some later write.
+  store->ReclaimRetired();
+  for (const Status& status : result.statuses) {
+    if (!status.ok()) return status;
+  }
+  return Status::OK();
+}
+
 Status SaveStore(const TripleStore& store, const std::string& path) {
   SLIM_OBS_HEARTBEAT("trim.persistence");
   FileReplacer file(path);
@@ -269,24 +267,29 @@ Status SaveStore(const TripleStore& store, const std::string& path) {
   return st;
 }
 
-Status LoadStore(const std::string& path, TripleStore* store) {
+Status ReadStoreFile(const std::string& path, std::vector<WriteOp>* adds) {
   SLIM_OBS_HEARTBEAT("trim.persistence");
   Status st = [&]() -> Status {
     // The ops are reserved before the text is read: the text, freed first
     // once the ops own their strings, then sits above the ops, and the two
     // go back to the allocator as one block rather than leaving a hole for
     // the new triples to split.
-    std::vector<WriteOp> adds;
+    adds->clear();
     std::error_code size_error;
     const uintmax_t bytes = std::filesystem::file_size(path, size_error);
-    if (!size_error) adds.reserve(OpsFor(bytes));
-    {
-      SLIM_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-      if (store == nullptr) return Status::InvalidArgument("null store");
-      SLIM_RETURN_NOT_OK(ReadStatements(text, &adds));
-    }
-    return ReplaceContents(std::move(adds), store);
+    if (!size_error) adds->reserve(OpsFor(bytes));
+    SLIM_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+    return ReadStatements(text, adds);
   }();
+  if (!st.ok()) return NotePersistenceFailure(std::move(st), "load", path);
+  return st;
+}
+
+Status LoadStore(const std::string& path, TripleStore* store) {
+  if (store == nullptr) return Status::InvalidArgument("null store");
+  std::vector<WriteOp> adds;
+  SLIM_RETURN_NOT_OK(ReadStoreFile(path, &adds));
+  Status st = ReplaceContents(std::move(adds), store);
   if (!st.ok()) return NotePersistenceFailure(std::move(st), "load", path);
   return st;
 }

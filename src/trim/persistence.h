@@ -21,6 +21,7 @@
 /// are all-or-nothing.
 
 #include <string>
+#include <vector>
 
 #include "trim/triple_store.h"
 #include "util/result.h"
@@ -47,8 +48,25 @@ Status StoreFromXml(std::string_view xml_text, TripleStore* store);
 Status SaveStore(const TripleStore& store, const std::string& path);
 
 /// Loads a store from a file, replacing its contents (all or nothing, as
-/// StoreFromXml).
+/// StoreFromXml): ReadStoreFile, then ReplaceContents.
 Status LoadStore(const std::string& path, TripleStore* store);
+
+/// The first half of LoadStore: reads and checks every statement of the
+/// file at `path` into `adds` (add ops, in file order), touching no store.
+/// Fails as LoadStore does for a file it cannot read or a text
+/// StoreFromXml rejects.
+Status ReadStoreFile(const std::string& path,
+                     std::vector<TripleStore::WriteOp>* adds);
+
+/// The second half of LoadStore: replaces the contents of `store` with
+/// `adds`, statements ReadStoreFile or StoreFromXml checked (no empty
+/// subject or property, no statement twice). One ApplyBatch under one
+/// writer lock drops every live triple and adds these, so a concurrent
+/// reader sees the old contents or the new ones, and a triple another
+/// writer commits during the load is either dropped with the old contents
+/// or added after the new ones.
+Status ReplaceContents(std::vector<TripleStore::WriteOp> adds,
+                       TripleStore* store);
 
 }  // namespace slim::trim
 

@@ -116,38 +116,42 @@ std::string StoreStats::ToJson() const {
 StoreStats ComputeStats(const TripleStore& store) {
   StoreStats stats;
   stats.backend = "hash";
-  // Node live counts and the dead-record count are writer state: hold the
+  // Key live counts and the dead-record count are writer state: hold the
   // writer lock for a consistent reading (stats refreshes are rare; the
-  // pause is one walk over the index buckets).
+  // pause is one walk over the key table and its buckets).
   util::MutexLock lock(&store.write_mu_);
   stats.live_triples = store.live_count_.load(std::memory_order_relaxed);
   stats.tombstoned = store.dead_count_;
   if (const TripleStore::Guts* guts =
           store.guts_.load(std::memory_order_relaxed)) {
-    struct Index {
-      const TripleStore::IndexMap& map;
-      uint64_t& keys;
-      uint64_t& postings;
-    };
-    for (const Index& index :
-         {Index{guts->by_subject, stats.subject_keys, stats.subject_postings},
-          Index{guts->by_property, stats.property_keys,
-                stats.property_postings},
-          Index{guts->by_object, stats.object_keys, stats.object_postings}}) {
-      for (const auto& bucket : index.map.buckets) {
-        uint64_t chain = 0;
-        for (const TripleStore::IndexNode* n =
-                 bucket.load(std::memory_order_relaxed);
-             n != nullptr; n = n->next) {
-          ++chain;
-          uint64_t live = n->live.load(std::memory_order_relaxed);
-          if (live == 0) continue;
-          ++index.keys;
-          index.postings += live;
-          if (&index.map == &guts->by_property) RecordFanout(live, &stats);
-        }
-        stats.longest_chain = std::max(stats.longest_chain, chain);
+    uint64_t* keys[3] = {&stats.subject_keys, &stats.property_keys,
+                         &stats.object_keys};
+    uint64_t* postings[3] = {&stats.subject_postings, &stats.property_postings,
+                             &stats.object_postings};
+    const TripleStore::KeyId count =
+        guts->key_count.load(std::memory_order_relaxed);
+    stats.interned_strings = count;
+    for (TripleStore::KeyId id = 0; id < count; ++id) {
+      const TripleStore::KeyNode* node = TripleStore::NodeOf(*guts, id);
+      stats.interned_bytes += node->key_size;
+      for (size_t f = 0; f < 3; ++f) {
+        uint64_t live = node->postings[f].live.load(std::memory_order_relaxed);
+        if (live == 0) continue;
+        ++*keys[f];
+        *postings[f] += live;
+        if (f == TripleStore::kPropertyField) RecordFanout(live, &stats);
       }
+    }
+    const TripleStore::KeyIndex* index =
+        guts->index.load(std::memory_order_relaxed);
+    for (const auto& head : index->heads) {
+      uint64_t chain = 0;
+      for (uint32_t next = head.load(std::memory_order_relaxed); next != 0;
+           next = static_cast<uint32_t>(
+               index->links[next - 1].load(std::memory_order_relaxed))) {
+        ++chain;
+      }
+      stats.longest_chain = std::max(stats.longest_chain, chain);
     }
   }
   EpochManager::Stats epoch = store.epoch_.GetStats();

@@ -40,7 +40,7 @@ struct StoreStats {
   uint64_t subject_postings = 0;
   uint64_t property_postings = 0;
   uint64_t object_postings = 0;
-  /// Longest key chain in any hash bucket of the three indexes (hash
+  /// Longest key chain in any hash bucket of the key table (hash
   /// backend; zero for interned): a lookup's worst-case key compares.
   uint64_t longest_chain = 0;
 
@@ -51,7 +51,9 @@ struct StoreStats {
   std::vector<uint64_t> predicate_cardinality;
   uint64_t predicate_max_fanout = 0;
 
-  /// Interning-table occupancy (interned backend; zero for hash).
+  /// Interning-table occupancy: every string in the hash backend's key
+  /// table (until a compaction drops the unused ones) or the interned
+  /// backend's pool, and their bytes.
   uint64_t interned_strings = 0;
   uint64_t interned_bytes = 0;
 
@@ -77,9 +79,10 @@ struct StoreStats {
   std::string ToJson() const;
 };
 
-/// Walks the hash-indexed store's index buckets (keys, postings and the
-/// predicate histogram come from each key's live count) plus its live
-/// triples for `approximate_bytes`. Holds the store's writer lock.
+/// Walks the hash-indexed store's key table (keys, postings and the
+/// predicate histogram come from each key's per-field live counts) and its
+/// buckets, plus its live triples for `approximate_bytes`. Holds the
+/// store's writer lock.
 StoreStats ComputeStats(const TripleStore& store);
 
 /// Walks the interned columnar store. O(rows).

@@ -62,60 +62,115 @@ uint64_t TripleStore::Fnv1a(std::string_view s) {
   return h;
 }
 
-TripleStore::Record* TripleStore::RecordAt(const Guts& guts, uint32_t slot) {
-  Chunk* chunk = guts.chunks[slot / kChunkSize].load(std::memory_order_seq_cst);
-  return &chunk->records[slot % kChunkSize];
+void* TripleStore::Arena::Allocate(size_t bytes) {
+  bytes = (bytes + 7) & ~size_t{7};
+  if (bytes > kBlockBytes / 4) {
+    // A long key gets a block of its own; the current block stays open.
+    blocks_.push_back(static_cast<char*>(::operator new(bytes)));
+    return blocks_.back();
+  }
+  if (bytes > left_) {
+    blocks_.push_back(static_cast<char*>(::operator new(kBlockBytes)));
+    next_ = blocks_.back();
+    left_ = kBlockBytes;
+  }
+  void* out = next_;
+  next_ += bytes;
+  left_ -= bytes;
+  return out;
 }
 
-bool TripleStore::Visible(const Record& rec, uint64_t snapshot) {
-  uint64_t birth = rec.birth.load(std::memory_order_relaxed);
-  if (birth == 0 || birth > snapshot) return false;
-  return snapshot < rec.death.load(std::memory_order_relaxed);
+TripleStore::Arena::~Arena() {
+  for (char* block : blocks_) ::operator delete(block);
 }
 
-TripleStore::IndexNode* TripleStore::FindNode(const IndexMap& map,
-                                              std::string_view key) {
-  for (IndexNode* n = map.buckets[Bucket(key)].load(std::memory_order_seq_cst);
-       n != nullptr; n = n->next) {
-    if (n->key() == key) return n;
+TripleStore::KeyNode* TripleStore::FindKey(const Guts& guts, uint32_t hash,
+                                           std::string_view key) {
+  const KeyIndex* index = guts.index.load(std::memory_order_seq_cst);
+  if (index == nullptr) return nullptr;
+  uint32_t next =
+      index->heads[hash & (index->heads.size() - 1)].load(
+          std::memory_order_seq_cst);
+  while (next != 0) {
+    const KeyId id = next - 1;
+    const uint64_t link = index->links[id].load(std::memory_order_seq_cst);
+    if (static_cast<uint32_t>(link >> 32) == hash) {
+      KeyNode* node = NodeOf(guts, id);
+      if (node->key() == key) return node;
+    }
+    next = static_cast<uint32_t>(link);
   }
   return nullptr;
 }
 
-TripleStore::IndexNode* TripleStore::FindOrCreateNode(IndexMap& map,
-                                                      const std::string& key) {
-  // The first spine starts right after the header, and operator delete
-  // alone frees a node or a spine.
-  static_assert(sizeof(IndexNode) % alignof(Spine) == 0);
-  static_assert(std::is_trivially_destructible_v<IndexNode> &&
+void TripleStore::LinkKey(KeyIndex* index, KeyId id, uint32_t hash) {
+  std::atomic<uint32_t>& head = index->heads[hash & (index->heads.size() - 1)];
+  index->links[id].store(
+      (uint64_t{hash} << 32) | head.load(std::memory_order_relaxed),
+      std::memory_order_seq_cst);
+  head.store(id + 1, std::memory_order_seq_cst);
+}
+
+TripleStore::KeyNode* TripleStore::CreateKey(Guts& guts, uint32_t hash,
+                                             std::string_view key) {
+  // Arena memory is never destroyed piecemeal.
+  static_assert(std::is_trivially_destructible_v<KeyNode> &&
                 std::is_trivially_destructible_v<Spine>);
-  IndexNode* found = FindNode(map, key);
-  if (found != nullptr) return found;
-  std::atomic<IndexNode*>& head = map.buckets[Bucket(key)];
-  // New node fully built (first spine, key bytes, header) in one block
-  // before publication.
-  char* block = static_cast<char*>(
-      ::operator new(sizeof(IndexNode) + kFirstSpineBytes + key.size()));
-  new (block + sizeof(IndexNode)) Spine(kInitialSpineCap);
-  std::memcpy(block + sizeof(IndexNode) + kFirstSpineBytes, key.data(),
-              key.size());
-  IndexNode* node = new (block)
-      IndexNode(head.load(std::memory_order_relaxed), key.size());
-  head.store(node, std::memory_order_seq_cst);
+  const KeyId id = guts.key_count.load(std::memory_order_relaxed);
+  char* block =
+      static_cast<char*>(guts.arena.Allocate(sizeof(KeyNode) + key.size()));
+  std::memcpy(block + sizeof(KeyNode), key.data(), key.size());
+  KeyNode* node = new (block) KeyNode(id, key.size());
+  // The node is in the id table before any record or chain can name it.
+  std::atomic<KeyChunk*>& chunk_ptr = guts.key_chunks[id / kKeyChunkSize];
+  KeyChunk* chunk = chunk_ptr.load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunk = new KeyChunk();
+    chunk_ptr.store(chunk, std::memory_order_seq_cst);
+  }
+  chunk->nodes[id % kKeyChunkSize].store(node, std::memory_order_seq_cst);
+
+  KeyIndex* index = guts.index.load(std::memory_order_relaxed);
+  if (index == nullptr || id == index->capacity()) {
+    // Relink every id from the hashes the old links keep; the old index
+    // stays whole for readers that already hold it.
+    KeyIndex* grown = new KeyIndex(
+        index == nullptr ? kInitialKeyCapacity : 2 * index->capacity());
+    for (KeyId old = 0; old < id; ++old) {
+      LinkKey(grown, old,
+              static_cast<uint32_t>(
+                  index->links[old].load(std::memory_order_relaxed) >> 32));
+    }
+    guts.index.store(grown, std::memory_order_seq_cst);
+    if (index != nullptr) {
+      epoch_.Retire(epoch_.current() + 1, [index] { delete index; });
+    }
+    index = grown;
+  }
+  LinkKey(index, id, hash);
+  guts.key_count.store(id + 1, std::memory_order_seq_cst);
   return node;
 }
 
-bool TripleStore::Post(IndexMap& map, const std::string& key, uint32_t slot,
-                       const Guts& guts) {
-  IndexNode* node = FindOrCreateNode(map, key);
-  AppendPosting(node, slot, guts);
-  return node->live.fetch_add(1, std::memory_order_relaxed) == 0;
+bool TripleStore::Post(Guts& guts, KeyNode* node, Field field,
+                       uint32_t slot) {
+  Postings& postings = node->postings[field];
+  if (postings.spine.load(std::memory_order_relaxed) == nullptr) {
+    Spine* first =
+        new (guts.arena.Allocate(kFirstSpineBytes)) Spine(kInitialSpineCap);
+    first->slots()[0] = slot;
+    first->used.store(1, std::memory_order_relaxed);  // published below
+    postings.spine.store(first, std::memory_order_seq_cst);
+  } else {
+    AppendPosting(postings, slot, guts);
+  }
+  return postings.live.fetch_add(1, std::memory_order_relaxed) == 0;
 }
 
-void TripleStore::AppendPosting(IndexNode* node, uint32_t slot,
+void TripleStore::AppendPosting(Postings& postings, uint32_t slot,
                                 const Guts& guts) {
-  Spine* spine = node->spine.load(std::memory_order_relaxed);
-  uint64_t used = spine->used.load(std::memory_order_relaxed);
+  Spine* spine = postings.spine.load(std::memory_order_relaxed);
+  uint32_t used = spine->used.load(std::memory_order_relaxed);
   if (used < spine->cap) {
     spine->slots()[used] = slot;
     spine->used.store(used + 1, std::memory_order_seq_cst);
@@ -127,11 +182,11 @@ void TripleStore::AppendPosting(IndexNode* node, uint32_t slot,
   // least current(), so min(MinPinned, current) bounds every reachable
   // snapshot from below.
   uint64_t cutoff = std::min(epoch_.MinPinned(), epoch_.current());
-  uint64_t cap = std::max<uint64_t>(kInitialSpineCap, 2 * (used + 1));
+  uint32_t cap = 2 * (used + 1);
   Spine* grown =
       new (::operator new(sizeof(Spine) + cap * sizeof(uint32_t))) Spine(cap);
-  uint64_t kept = 0;
-  for (uint64_t i = 0; i < used; ++i) {
+  uint32_t kept = 0;
+  for (uint32_t i = 0; i < used; ++i) {
     uint32_t s = spine->slots()[i];
     if (RecordAt(guts, s)->death.load(std::memory_order_relaxed) <= cutoff) {
       continue;
@@ -140,11 +195,11 @@ void TripleStore::AppendPosting(IndexNode* node, uint32_t slot,
   }
   grown->slots()[kept++] = slot;
   grown->used.store(kept, std::memory_order_relaxed);  // published by the swap
-  node->spine.store(grown, std::memory_order_seq_cst);
-  // The first spine goes with its node. A reader pinned at the current
-  // epoch may already hold a grown one, so that is freeable one epoch
-  // later.
-  if (spine != node->first_spine()) {
+  postings.spine.store(grown, std::memory_order_seq_cst);
+  // The first spine goes with its log's arena. A reader pinned at the
+  // current epoch may already hold a grown one, so that is freeable one
+  // epoch later.
+  if (!spine->in_arena()) {
     epoch_.Retire(epoch_.current() + 1, [spine] { ::operator delete(spine); });
   }
 }
@@ -154,20 +209,18 @@ void TripleStore::FreeGuts(Guts* guts) {
   for (auto& c : guts->chunks) {
     delete c.load(std::memory_order_relaxed);
   }
-  for (IndexMap* map : {&guts->by_subject, &guts->by_property,
-                        &guts->by_object}) {
-    for (auto& bucket : map->buckets) {
-      IndexNode* n = bucket.load(std::memory_order_relaxed);
-      while (n != nullptr) {
-        IndexNode* next = n->next;
-        Spine* spine = n->spine.load(std::memory_order_relaxed);
-        if (spine != n->first_spine()) ::operator delete(spine);
-        ::operator delete(n);  // the node, its first spine and its key
-        n = next;
-      }
+  const KeyId keys = guts->key_count.load(std::memory_order_relaxed);
+  for (KeyId id = 0; id < keys; ++id) {
+    for (const Postings& postings : NodeOf(*guts, id)->postings) {
+      Spine* spine = postings.spine.load(std::memory_order_relaxed);
+      if (spine != nullptr && !spine->in_arena()) ::operator delete(spine);
     }
   }
-  delete guts;
+  for (auto& c : guts->key_chunks) {
+    delete c.load(std::memory_order_relaxed);
+  }
+  delete guts->index.load(std::memory_order_relaxed);
+  delete guts;  // its arena frees the key nodes and first spines
 }
 
 // ---------------------------------------------------------------------------
@@ -253,11 +306,6 @@ Status TripleStore::AddLocked(Triple triple, bool allow_duplicates,
     SLIM_OBS_COUNT("trim.add.invalid");
     return Status::InvalidArgument("triple subject/property must be non-empty");
   }
-  if (!allow_duplicates && Contains(triple)) {
-    SLIM_OBS_COUNT("trim.add.duplicate");
-    return Status::AlreadyExists("duplicate statement " +
-                                 TripleToString(triple));
-  }
   Guts* guts = guts_.load(std::memory_order_relaxed);
   if (guts != nullptr &&
       guts->size.load(std::memory_order_relaxed) >= kChunkSize * kMaxChunks) {
@@ -269,9 +317,35 @@ Status TripleStore::AddLocked(Triple triple, bool allow_duplicates,
     guts = new Guts();
     guts_.store(guts, std::memory_order_seq_cst);
   }
+  // Each field is hashed once. A statement with a key the store does not
+  // hold cannot be a duplicate; otherwise the subject's postings are
+  // compared by id at the pending epoch, so the batch sees its own adds.
+  const std::array<std::string_view, 3> text = {triple.subject,
+                                                triple.property,
+                                                triple.object.text};
+  std::array<uint32_t, 3> hash{};
+  std::array<KeyNode*, 3> node{};
+  for (size_t f = 0; f < 3; ++f) {
+    hash[f] = KeyHash(text[f]);
+    node[f] = FindKey(*guts, hash[f], text[f]);
+  }
+  if (!allow_duplicates && node[0] != nullptr && node[1] != nullptr &&
+      node[2] != nullptr &&
+      FindExact(guts, ws.epoch(),
+                KeyPattern{node[0]->id, node[1]->id, node[2]->id,
+                           triple.object.kind}) != nullptr) {
+    SLIM_OBS_COUNT("trim.add.duplicate");
+    return Status::AlreadyExists("duplicate statement " +
+                                 TripleToString(triple));
+  }
   uint64_t slot = guts->size.load(std::memory_order_relaxed);
   if (slot >= kChunkSize * kMaxChunks) {
     return Status::OutOfRange("triple store is full");
+  }
+  for (size_t f = 0; f < 3; ++f) {
+    // A second look finds a key an earlier field of this triple created.
+    if (node[f] == nullptr) node[f] = FindKey(*guts, hash[f], text[f]);
+    if (node[f] == nullptr) node[f] = CreateKey(*guts, hash[f], text[f]);
   }
   SLIM_OBS_COUNT("trim.add.ok");
   size_t chunk_idx = slot / kChunkSize;
@@ -281,20 +355,21 @@ Status TripleStore::AddLocked(Triple triple, bool allow_duplicates,
     guts->chunks[chunk_idx].store(chunk, std::memory_order_seq_cst);
   }
   Record& rec = chunk->records[slot % kChunkSize];
+  rec.keys = {node[0]->id, node[1]->id, node[2]->id};
+  rec.kind = triple.object.kind;
   rec.triple = std::move(triple);
   rec.birth.store(ws.epoch(), std::memory_order_relaxed);
   rec.death.store(EpochManager::kNeverDies, std::memory_order_relaxed);
   guts->size.store(slot + 1, std::memory_order_seq_cst);
 
-  const Triple& t = rec.triple;
   uint32_t slot32 = static_cast<uint32_t>(slot);
-  if (Post(guts->by_subject, t.subject, slot32, *guts)) {
+  if (Post(*guts, node[kSubjectField], kSubjectField, slot32)) {
     distinct_subjects_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (Post(guts->by_property, t.property, slot32, *guts)) {
+  if (Post(*guts, node[kPropertyField], kPropertyField, slot32)) {
     distinct_properties_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (Post(guts->by_object, t.object.text, slot32, *guts)) {
+  if (Post(*guts, node[kObjectField], kObjectField, slot32)) {
     distinct_objects_.fetch_add(1, std::memory_order_relaxed);
   }
   live_count_.fetch_add(1, std::memory_order_relaxed);
@@ -320,38 +395,33 @@ Status TripleStore::Remove(const Triple& triple) {
   return RemoveLocked(triple, ws);
 }
 
+void TripleStore::Kill(Record* rec, const Guts& guts, WriterScope& ws) {
+  const uint64_t epoch = ws.epoch();
+  rec->death.store(epoch, std::memory_order_relaxed);
+  // A key whose last live posting in a field goes leaves that field's
+  // Distinct*() count.
+  std::atomic<uint64_t>* distinct[3] = {
+      &distinct_subjects_, &distinct_properties_, &distinct_objects_};
+  for (size_t f = 0; f < 3; ++f) {
+    if (NodeOf(guts, rec->keys[f])
+            ->postings[f]
+            .live.fetch_sub(1, std::memory_order_relaxed) == 1) {
+      distinct[f]->fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+  ++dead_count_;
+  max_death_epoch_ = epoch;
+  live_count_.fetch_sub(1, std::memory_order_relaxed);
+  ws.AddDead(rec);
+  ws.MarkDirty();
+}
+
 Status TripleStore::RemoveLocked(const Triple& triple, WriterScope& ws) {
-  Guts* guts = guts_.load(std::memory_order_relaxed);
-  uint64_t epoch = ws.epoch();
-  // A key whose last live posting goes leaves its Distinct*() count.
-  auto drop = [](IndexNode* node, std::atomic<uint64_t>& distinct) {
-    if (node->live.fetch_sub(1, std::memory_order_relaxed) == 1) {
-      distinct.fetch_sub(1, std::memory_order_relaxed);
-    }
-  };
-  if (guts != nullptr) {
-    if (IndexNode* sn = FindNode(guts->by_subject, triple.subject)) {
-      Spine* spine = sn->spine.load(std::memory_order_relaxed);
-      uint64_t used = spine->used.load(std::memory_order_relaxed);
-      for (uint64_t i = 0; i < used; ++i) {
-        Record* rec = RecordAt(*guts, spine->slots()[i]);
-        if (!Visible(*rec, epoch)) continue;
-        if (!(rec->triple == triple)) continue;
-        rec->death.store(epoch, std::memory_order_relaxed);
-        // A live record is posted in all three indexes of its guts.
-        drop(sn, distinct_subjects_);
-        drop(FindNode(guts->by_property, triple.property),
-             distinct_properties_);
-        drop(FindNode(guts->by_object, triple.object.text), distinct_objects_);
-        ++dead_count_;
-        max_death_epoch_ = epoch;
-        live_count_.fetch_sub(1, std::memory_order_relaxed);
-        ws.AddDead(rec);
-        ws.MarkDirty();
-        SLIM_OBS_COUNT("trim.remove.ok");
-        return Status::OK();
-      }
-    }
+  const Guts* guts = guts_.load(std::memory_order_relaxed);
+  if (Record* rec = FindExact(guts, ws.epoch(), ExactKeys(guts, triple))) {
+    Kill(rec, *guts, ws);
+    SLIM_OBS_COUNT("trim.remove.ok");
+    return Status::OK();
   }
   SLIM_OBS_COUNT("trim.remove.not_found");
   return Status::NotFound("statement not present: " + TripleToString(triple));
@@ -365,9 +435,19 @@ size_t TripleStore::RemoveMatching(const TriplePattern& pattern) {
 
 size_t TripleStore::RemoveMatchingLocked(const TriplePattern& pattern,
                                          WriterScope& ws) {
-  std::vector<Triple> victims = Select(pattern);
-  for (const Triple& t : victims) {
-    RemoveLocked(t, ws).ok();  // each was just observed live
+  // The writer reads at its pending epoch, so each victim is live there.
+  const Guts* guts = guts_.load(std::memory_order_relaxed);
+  const uint64_t epoch = ws.epoch();
+  const KeyPattern keys = KeyView(*this).Resolve(pattern);
+  std::vector<Record*> victims;
+  ForMatches(guts, epoch, BeginSelect(keys, epoch, guts, nullptr), keys,
+             nullptr, [&victims](Record& rec) {
+               victims.push_back(&rec);
+               return true;
+             });
+  for (Record* rec : victims) {
+    Kill(rec, *guts, ws);
+    SLIM_OBS_COUNT("trim.remove.ok");
   }
   return victims.size();
 }
@@ -379,9 +459,18 @@ TripleStore::BatchResult TripleStore::ApplyBatch(std::vector<WriteOp> ops) {
   result.epoch = ws.epoch();
   result.statuses.reserve(ops.size());
   for (WriteOp& op : ops) {
-    Status s = op.kind == WriteOp::Kind::kAdd
-                   ? AddLocked(std::move(op.triple), op.allow_duplicates, ws)
-                   : RemoveLocked(op.triple, ws);
+    Status s;
+    switch (op.kind) {
+      case WriteOp::Kind::kAdd:
+        s = AddLocked(std::move(op.triple), op.allow_duplicates, ws);
+        break;
+      case WriteOp::Kind::kRemove:
+        s = RemoveLocked(op.triple, ws);
+        break;
+      case WriteOp::Kind::kClear:
+        ClearLocked(ws);
+        break;
+    }
     if (s.ok()) ++result.applied;
     result.statuses.push_back(std::move(s));
   }
@@ -402,40 +491,41 @@ void TripleStore::Clear() {
   util::MutexLock lock(&write_mu_);
   {
     WriterScope ws(*this);
-    uint64_t epoch = ws.epoch();
-    if (Guts* guts = guts_.load(std::memory_order_relaxed)) {
-      uint64_t n = guts->size.load(std::memory_order_relaxed);
-      for (uint64_t slot = 0; slot < n; ++slot) {
-        Record* rec = RecordAt(*guts, static_cast<uint32_t>(slot));
-        if (rec->death.load(std::memory_order_relaxed) !=
-            EpochManager::kNeverDies) {
-          continue;
-        }
-        rec->death.store(epoch, std::memory_order_relaxed);
-        ws.AddDead(rec);
-        ++dead_count_;
-        max_death_epoch_ = epoch;
-        ws.MarkDirty();
-      }
-      // Every key loses its live postings with them.
-      for (IndexMap* map :
-           {&guts->by_subject, &guts->by_property, &guts->by_object}) {
-        for (auto& bucket : map->buckets) {
-          for (IndexNode* node = bucket.load(std::memory_order_relaxed);
-               node != nullptr; node = node->next) {
-            node->live.store(0, std::memory_order_relaxed);
-          }
-        }
-      }
-    }
-    live_count_.store(0, std::memory_order_relaxed);
-    distinct_subjects_.store(0, std::memory_order_relaxed);
-    distinct_properties_.store(0, std::memory_order_relaxed);
-    distinct_objects_.store(0, std::memory_order_relaxed);
+    ClearLocked(ws);
   }
   // Quiescent stores drop straight back to empty guts here; pinned readers
   // keep their snapshot and the reset waits for them.
   ReclaimLocked();
+}
+
+void TripleStore::ClearLocked(WriterScope& ws) {
+  uint64_t epoch = ws.epoch();
+  if (Guts* guts = guts_.load(std::memory_order_relaxed)) {
+    uint64_t n = guts->size.load(std::memory_order_relaxed);
+    for (uint64_t slot = 0; slot < n; ++slot) {
+      Record* rec = RecordAt(*guts, static_cast<uint32_t>(slot));
+      if (rec->death.load(std::memory_order_relaxed) !=
+          EpochManager::kNeverDies) {
+        continue;
+      }
+      rec->death.store(epoch, std::memory_order_relaxed);
+      ws.AddDead(rec);
+      ++dead_count_;
+      max_death_epoch_ = epoch;
+      ws.MarkDirty();
+    }
+    // Every key loses its live postings with them.
+    const KeyId keys = guts->key_count.load(std::memory_order_relaxed);
+    for (KeyId id = 0; id < keys; ++id) {
+      for (Postings& postings : NodeOf(*guts, id)->postings) {
+        postings.live.store(0, std::memory_order_relaxed);
+      }
+    }
+  }
+  live_count_.store(0, std::memory_order_relaxed);
+  distinct_subjects_.store(0, std::memory_order_relaxed);
+  distinct_properties_.store(0, std::memory_order_relaxed);
+  distinct_objects_.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -457,11 +547,14 @@ void TripleStore::MaybeCompact(bool force) {
   Guts* old = guts_.load(std::memory_order_relaxed);
   if (old == nullptr) return;
 
-  // Rebuilding the indexes from the surviving records carries every key's
-  // live count (and so the Distinct*() counters) over unchanged.
+  // Rebuilding the key table from the surviving records carries every
+  // key's live counts (and so the Distinct*() counters) over unchanged.
+  // Ids are renumbered densely; each surviving key is hashed once.
   Guts* fresh = nullptr;
   if (live != 0) {
     fresh = new Guts();
+    std::vector<KeyId> renumber(old->key_count.load(std::memory_order_relaxed),
+                                kAnyKey);
     uint64_t n = old->size.load(std::memory_order_relaxed);
     for (uint64_t slot = 0; slot < n; ++slot) {
       Record* rec = RecordAt(*old, static_cast<uint32_t>(slot));
@@ -477,6 +570,17 @@ void TripleStore::MaybeCompact(bool force) {
         fresh->chunks[chunk_idx].store(chunk, std::memory_order_seq_cst);
       }
       Record& dst = chunk->records[dst_slot % kChunkSize];
+      std::array<KeyNode*, 3> node{};
+      for (size_t f = 0; f < 3; ++f) {
+        KeyId& id = renumber[rec->keys[f]];
+        if (id == kAnyKey) {
+          std::string_view key = NodeOf(*old, rec->keys[f])->key();
+          id = CreateKey(*fresh, KeyHash(key), key)->id;
+        }
+        node[f] = NodeOf(*fresh, id);
+        dst.keys[f] = id;
+      }
+      dst.kind = rec->kind;
       dst.triple = rec->triple;
       // Keep the birth stamp: a reader pinned before this record appeared
       // must still not see it through the compacted guts.
@@ -484,9 +588,9 @@ void TripleStore::MaybeCompact(bool force) {
                       std::memory_order_relaxed);
       fresh->size.store(dst_slot + 1, std::memory_order_seq_cst);
       uint32_t slot32 = static_cast<uint32_t>(dst_slot);
-      Post(fresh->by_subject, dst.triple.subject, slot32, *fresh);
-      Post(fresh->by_property, dst.triple.property, slot32, *fresh);
-      Post(fresh->by_object, dst.triple.object.text, slot32, *fresh);
+      for (Field f : {kSubjectField, kPropertyField, kObjectField}) {
+        Post(*fresh, node[f], f, slot32);
+      }
     }
   }
   guts_.store(fresh, std::memory_order_seq_cst);
@@ -511,44 +615,76 @@ size_t TripleStore::ReclaimRetired() {
 // Reads
 // ---------------------------------------------------------------------------
 
-bool TripleStore::Contains(const Triple& triple) const {
-  ReadPin pin = BeginRead();
-  bool found = false;
-  const Guts* guts = guts_.load(std::memory_order_seq_cst);
-  if (guts != nullptr) {
-    if (const IndexNode* sn = FindNode(guts->by_subject, triple.subject)) {
-      const Spine* spine = sn->spine.load(std::memory_order_seq_cst);
-      uint64_t used = spine->used.load(std::memory_order_seq_cst);
-      for (uint64_t i = 0; i < used; ++i) {
-        Record* rec = RecordAt(*guts, spine->slots()[i]);
-        if (Visible(*rec, pin.snapshot) && rec->triple == triple) {
-          found = true;
-          break;
-        }
-      }
-    }
+TripleStore::Record* TripleStore::FindExact(const Guts* guts,
+                                            uint64_t snapshot,
+                                            const KeyPattern& exact) {
+  const KeyNode* subject =
+      guts != nullptr ? NodeOf(*guts, exact.subject) : nullptr;
+  if (subject == nullptr) return nullptr;
+  const Spine* spine =
+      subject->postings[kSubjectField].spine.load(std::memory_order_seq_cst);
+  if (spine == nullptr) return nullptr;
+  const uint32_t used = spine->used.load(std::memory_order_seq_cst);
+  for (uint32_t i = 0; i < used; ++i) {
+    Record* rec = RecordAt(*guts, spine->slots()[i]);
+    if (Visible(*rec, snapshot) && KeysMatch(*rec, exact)) return rec;
   }
-  EndRead(pin);
-  return found;
+  return nullptr;
 }
 
-TripleStore::PathChoice TripleStore::ChoosePath(const TriplePattern& pattern,
+TripleStore::KeyId TripleStore::FindId(const Guts* guts,
+                                       std::string_view text) {
+  const KeyNode* node =
+      guts != nullptr ? FindKey(*guts, KeyHash(text), text) : nullptr;
+  return node != nullptr ? node->id : kNoKey;
+}
+
+TripleStore::KeyPattern TripleStore::ExactKeys(const Guts* guts,
+                                               const Triple& t) {
+  return KeyPattern{FindId(guts, t.subject), FindId(guts, t.property),
+                    FindId(guts, t.object.text), t.object.kind};
+}
+
+TripleStore::KeyId TripleStore::KeyView::Find(std::string_view text) const {
+  return FindId(guts_, text);
+}
+
+TripleStore::KeyPattern TripleStore::KeyView::Resolve(
+    const TriplePattern& pattern) const {
+  KeyPattern keys;
+  if (pattern.subject) keys.subject = Find(*pattern.subject);
+  if (pattern.property) keys.property = Find(*pattern.property);
+  if (pattern.object) {
+    keys.object = Find(pattern.object->text);
+    keys.object_kind = pattern.object->kind;
+  }
+  return keys;
+}
+
+bool TripleStore::Contains(const Triple& triple) const {
+  KeyView view(*this);
+  return FindExact(view.guts_, view.pin_.snapshot,
+                   ExactKeys(view.guts_, triple)) != nullptr;
+}
+
+TripleStore::PathChoice TripleStore::ChoosePath(const KeyPattern& pattern,
                                                 uint64_t snapshot,
                                                 const Guts* guts) {
   PathChoice chosen;
   bool have = false;
 
-  // Visible candidates under one fixed key. node->live is the exact live
-  // count when quiescent; when it reads 0 the spine is walked so a pinned
-  // snapshot that can still see entries is never short-circuited to kEmpty.
-  auto count = [&](const IndexNode* node) -> uint64_t {
-    if (node == nullptr) return 0;
-    uint64_t live = node->live.load(std::memory_order_relaxed);
+  // Visible candidates under one fixed key. The live count is exact when
+  // quiescent; when it reads 0 the spine is walked so a pinned snapshot
+  // that can still see entries is never short-circuited to kEmpty.
+  auto count = [&](const Postings* postings) -> uint64_t {
+    if (postings == nullptr) return 0;
+    uint64_t live = postings->live.load(std::memory_order_relaxed);
     if (live != 0) return live;
-    const Spine* spine = node->spine.load(std::memory_order_seq_cst);
-    uint64_t used = spine->used.load(std::memory_order_seq_cst);
+    const Spine* spine = postings->spine.load(std::memory_order_seq_cst);
+    if (spine == nullptr) return 0;
+    uint32_t used = spine->used.load(std::memory_order_seq_cst);
     uint64_t visible = 0;
-    for (uint64_t j = 0; j < used; ++j) {
+    for (uint32_t j = 0; j < used; ++j) {
       if (Visible(*RecordAt(*guts, spine->slots()[j]), snapshot)) ++visible;
     }
     return visible;
@@ -556,33 +692,31 @@ TripleStore::PathChoice TripleStore::ChoosePath(const TriplePattern& pattern,
 
   // Subject, then object, then property: a provably-empty key wins
   // outright, otherwise the strictly smaller candidate list. Returns true
-  // when no further index is worth probing.
-  auto consider = [&](IndexPath path, IndexMap Guts::*index,
-                      std::string_view key) {
-    const IndexNode* node =
-        guts != nullptr ? FindNode(guts->*index, key) : nullptr;
-    uint64_t n = count(node);
+  // when no further field is worth probing.
+  auto consider = [&](IndexPath path, Field field, KeyId key) {
+    const KeyNode* node = guts != nullptr ? NodeOf(*guts, key) : nullptr;
+    uint64_t n = count(node != nullptr ? &node->postings[field] : nullptr);
     if (n == 0) {
       chosen = PathChoice{IndexPath::kEmpty, 0, nullptr};
       return true;  // can't get more selective than empty
     }
     if (!have || n < chosen.candidates) {
-      chosen = PathChoice{path, n, node};
+      chosen = PathChoice{path, n, &node->postings[field]};
       have = true;
     }
     return chosen.candidates <= kShortList;
   };
 
-  if (pattern.subject &&
-      consider(IndexPath::kSubject, &Guts::by_subject, *pattern.subject)) {
+  if (pattern.subject != kAnyKey &&
+      consider(IndexPath::kSubject, kSubjectField, pattern.subject)) {
     return chosen;
   }
-  if (pattern.object &&
-      consider(IndexPath::kObject, &Guts::by_object, pattern.object->text)) {
+  if (pattern.object != kAnyKey &&
+      consider(IndexPath::kObject, kObjectField, pattern.object)) {
     return chosen;
   }
-  if (pattern.property &&
-      consider(IndexPath::kProperty, &Guts::by_property, *pattern.property)) {
+  if (pattern.property != kAnyKey &&
+      consider(IndexPath::kProperty, kPropertyField, pattern.property)) {
     return chosen;
   }
   if (!have) {
@@ -592,6 +726,26 @@ TripleStore::PathChoice TripleStore::ChoosePath(const TriplePattern& pattern,
         guts != nullptr ? guts->size.load(std::memory_order_seq_cst) : 0;
   }
   return chosen;
+}
+
+TripleStore::PathChoice TripleStore::BeginSelect(const KeyPattern& pattern,
+                                                 uint64_t snapshot,
+                                                 const Guts* guts,
+                                                 SelectStats* stats) {
+  SLIM_OBS_COUNT("trim.select.calls");
+  PathChoice choice = ChoosePath(pattern, snapshot, guts);
+  switch (choice.path) {
+    case IndexPath::kSubject: SLIM_OBS_COUNT("trim.select.index.subject"); break;
+    case IndexPath::kObject: SLIM_OBS_COUNT("trim.select.index.object"); break;
+    case IndexPath::kProperty: SLIM_OBS_COUNT("trim.select.index.property"); break;
+    case IndexPath::kScan: SLIM_OBS_COUNT("trim.select.index.scan"); break;
+    case IndexPath::kEmpty: SLIM_OBS_COUNT("trim.select.index.empty"); break;
+  }
+  if (stats != nullptr) {
+    stats->path = choice.path;
+    stats->candidates = choice.candidates;
+  }
+  return choice;
 }
 
 std::vector<Triple> TripleStore::Select(const TriplePattern& pattern) const {
@@ -606,54 +760,21 @@ std::vector<Triple> TripleStore::Select(const TriplePattern& pattern) const {
 void TripleStore::SelectEach(const TriplePattern& pattern,
                              const std::function<bool(const Triple&)>& fn,
                              SelectStats* stats) const {
-  SLIM_OBS_COUNT("trim.select.calls");
-  ReadPin pin = BeginRead();
-  const Guts* guts = guts_.load(std::memory_order_seq_cst);
-  PathChoice choice = ChoosePath(pattern, pin.snapshot, guts);
-  switch (choice.path) {
-    case IndexPath::kSubject: SLIM_OBS_COUNT("trim.select.index.subject"); break;
-    case IndexPath::kObject: SLIM_OBS_COUNT("trim.select.index.object"); break;
-    case IndexPath::kProperty: SLIM_OBS_COUNT("trim.select.index.property"); break;
-    case IndexPath::kScan: SLIM_OBS_COUNT("trim.select.index.scan"); break;
-    case IndexPath::kEmpty: SLIM_OBS_COUNT("trim.select.index.empty"); break;
-  }
-  if (stats != nullptr) {
-    stats->path = choice.path;
-    stats->candidates = choice.candidates;
-  }
-  auto visit = [&](Record* rec) {
-    if (!Visible(*rec, pin.snapshot)) return true;
-    if (stats != nullptr) ++stats->examined;
-    if (!pattern.Matches(rec->triple)) return true;
-    if (stats != nullptr) ++stats->matched;
-    return fn(rec->triple);
-  };
-  if (choice.path == IndexPath::kScan) {
-    uint64_t n = choice.candidates;
-    for (uint64_t slot = 0; slot < n; ++slot) {
-      if (!visit(RecordAt(*guts, static_cast<uint32_t>(slot)))) break;
-    }
-  } else if (choice.node != nullptr) {
-    const Spine* spine =
-        choice.node->spine.load(std::memory_order_seq_cst);
-    uint64_t used = spine->used.load(std::memory_order_seq_cst);
-    for (uint64_t j = 0; j < used; ++j) {
-      if (!visit(RecordAt(*guts, spine->slots()[j]))) break;
-    }
-  }
-  EndRead(pin);
+  KeyView view(*this);
+  view.SelectEach(
+      view.Resolve(pattern), [&fn](const Row& row) { return fn(row.triple); },
+      stats);
 }
 
 TripleStore::AccessPlan TripleStore::PlanAccess(
     const TriplePattern& pattern) const {
-  ReadPin pin = BeginRead();
-  PathChoice choice = ChoosePath(pattern, pin.snapshot,
-                                 guts_.load(std::memory_order_seq_cst));
+  KeyView view(*this);
+  PathChoice choice =
+      ChoosePath(view.Resolve(pattern), view.pin_.snapshot, view.guts_);
   AccessPlan plan;
   plan.path = choice.path;
   plan.candidates =
       choice.path == IndexPath::kScan ? size() : choice.candidates;
-  EndRead(pin);
   return plan;
 }
 
@@ -669,66 +790,52 @@ std::optional<Object> TripleStore::GetOne(const std::string& subject,
   return out;
 }
 
+template <typename RowFn, typename ReachFn>
+void TripleStore::WalkReachable(std::string_view resource, RowFn&& row_fn,
+                                ReachFn&& reached) const {
+  KeyView view(*this);
+  const KeyId start = view.Find(resource);
+  if (start == kNoKey) return;
+  std::unordered_set<KeyId> visited = {start};
+  std::queue<KeyId> frontier;
+  frontier.push(start);
+  while (!frontier.empty()) {
+    KeyPattern pattern;
+    pattern.subject = frontier.front();
+    frontier.pop();
+    const PathChoice subject{IndexPath::kSubject, 0,
+                             &NodeOf(*view.guts_, pattern.subject)
+                                  ->postings[kSubjectField]};
+    ForMatches(view.guts_, view.pin_.snapshot, subject, pattern, nullptr,
+               [&](const Record& rec) {
+                 row_fn(rec.triple);
+                 if (rec.kind == ObjectKind::kResource &&
+                     visited.insert(rec.keys[kObjectField]).second) {
+                   reached(std::string_view(rec.triple.object.text));
+                   frontier.push(rec.keys[kObjectField]);
+                 }
+                 return true;
+               });
+  }
+}
+
 std::vector<Triple> TripleStore::ViewFrom(const std::string& resource) const {
   SLIM_OBS_COUNT("trim.view.calls");
   SLIM_OBS_TIMER(timer, "trim.view.latency_us");
-  ReadPin pin = BeginRead();
   std::vector<Triple> out;
-  std::unordered_set<std::string> visited;
-  std::queue<std::string> frontier;
-  frontier.push(resource);
-  visited.insert(resource);
-  const Guts* guts = guts_.load(std::memory_order_seq_cst);
-  while (guts != nullptr && !frontier.empty()) {
-    std::string cur = std::move(frontier.front());
-    frontier.pop();
-    const IndexNode* sn = FindNode(guts->by_subject, cur);
-    if (sn == nullptr) continue;
-    const Spine* spine = sn->spine.load(std::memory_order_seq_cst);
-    uint64_t used = spine->used.load(std::memory_order_seq_cst);
-    for (uint64_t i = 0; i < used; ++i) {
-      Record* rec = RecordAt(*guts, spine->slots()[i]);
-      if (!Visible(*rec, pin.snapshot)) continue;
-      const Triple& t = rec->triple;
-      out.push_back(t);
-      if (t.object.is_resource() && visited.insert(t.object.text).second) {
-        frontier.push(t.object.text);
-      }
-    }
-  }
-  EndRead(pin);
+  WalkReachable(
+      resource, [&out](const Triple& t) { out.push_back(t); },
+      [](std::string_view) {});
   SLIM_OBS_HISTOGRAM("trim.view.fanout", out.size());
   return out;
 }
 
 std::vector<std::string> TripleStore::ReachableResources(
     const std::string& resource) const {
-  ReadPin pin = BeginRead();
-  std::vector<std::string> out;
-  std::unordered_set<std::string> visited;
-  std::queue<std::string> frontier;
-  frontier.push(resource);
-  visited.insert(resource);
-  out.push_back(resource);
-  const Guts* guts = guts_.load(std::memory_order_seq_cst);
-  while (guts != nullptr && !frontier.empty()) {
-    std::string cur = std::move(frontier.front());
-    frontier.pop();
-    const IndexNode* sn = FindNode(guts->by_subject, cur);
-    if (sn == nullptr) continue;
-    const Spine* spine = sn->spine.load(std::memory_order_seq_cst);
-    uint64_t used = spine->used.load(std::memory_order_seq_cst);
-    for (uint64_t i = 0; i < used; ++i) {
-      Record* rec = RecordAt(*guts, spine->slots()[i]);
-      if (!Visible(*rec, pin.snapshot)) continue;
-      const Triple& t = rec->triple;
-      if (t.object.is_resource() && visited.insert(t.object.text).second) {
-        out.push_back(t.object.text);
-        frontier.push(t.object.text);
-      }
-    }
-  }
-  EndRead(pin);
+  std::vector<std::string> out = {resource};
+  WalkReachable(
+      resource, [](const Triple&) {},
+      [&out](std::string_view r) { out.emplace_back(r); });
   return out;
 }
 

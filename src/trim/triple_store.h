@@ -11,9 +11,11 @@
 /// resource (such as a Bundle id), where all triples that can be reached
 /// from this resource are returned."
 ///
-/// The store keeps one append-only record log and three hash indexes over
-/// it (subject, property, object text), and answers selection queries
-/// through the most selective fixed field.
+/// The store keeps one append-only record log and one key table: every
+/// distinct string it holds, as subject, property or object text, has one
+/// dense id and one posting list per field. Selections resolve their fixed
+/// fields to ids once and answer through the most selective one, matching
+/// rows by integer compares.
 ///
 /// Concurrency contract (DESIGN.md §10 is the full specification):
 /// *mutations* (Add/Remove/RemoveMatching/SetOne/ApplyBatch/Clear)
@@ -73,7 +75,7 @@ struct TriplePattern {
 
 struct StoreStats;  // trim/store_stats.h
 
-/// \brief In-memory triple store with S/P/O indexes and epoch-based
+/// \brief In-memory triple store with a per-field key table and epoch-based
 /// snapshot reads.
 class TripleStore {
  public:
@@ -141,7 +143,8 @@ class TripleStore {
 
   /// \brief One mutation inside ApplyBatch.
   struct WriteOp {
-    enum class Kind { kAdd, kRemove };
+    /// kClear removes every triple live when it runs, as Clear() does.
+    enum class Kind { kAdd, kRemove, kClear };
     Kind kind = Kind::kAdd;
     Triple triple;
     bool allow_duplicates = false;  ///< Only meaningful for kAdd.
@@ -150,6 +153,7 @@ class TripleStore {
       return {Kind::kAdd, std::move(t), allow_duplicates};
     }
     static WriteOp RemoveOp(Triple t) { return {Kind::kRemove, std::move(t)}; }
+    static WriteOp ClearOp() { return {Kind::kClear, Triple{}}; }
   };
 
   /// \brief Outcome of ApplyBatch: the epoch the batch committed at and a
@@ -162,6 +166,38 @@ class TripleStore {
 
   /// Epoch-domain introspection (feeds `slim.store.epoch.*`).
   using EpochStats = EpochManager::Stats;
+
+  /// \name Key-level reads
+  /// Every distinct string the store holds, in any field, has one dense
+  /// id in the key table of the store's current record log. Ids are
+  /// private to that log: a compaction renumbers them, so an id is only
+  /// meaningful inside the KeyView that produced it.
+  /// @{
+  using KeyId = uint32_t;
+  /// A free field in a KeyPattern.
+  static constexpr KeyId kAnyKey = UINT32_MAX;
+  /// A string the store does not hold: a field fixed to it matches nothing.
+  static constexpr KeyId kNoKey = UINT32_MAX - 1;
+
+  /// \brief A selection pattern over key ids (kAnyKey = free field).
+  struct KeyPattern {
+    KeyId subject = kAnyKey;
+    KeyId property = kAnyKey;
+    KeyId object = kAnyKey;
+    ObjectKind object_kind = ObjectKind::kLiteral;  ///< With a fixed object.
+  };
+
+  /// \brief A row a key-level selection hands its callback: the record's
+  /// triple and the key ids of its three fields.
+  struct Row {
+    const Triple& triple;
+    KeyId subject;
+    KeyId property;
+    KeyId object;
+  };
+
+  class KeyView;  // below
+  /// @}
 
   TripleStore() = default;
   ~TripleStore();
@@ -185,9 +221,10 @@ class TripleStore {
   /// Removes every triple matching the pattern; returns how many went.
   size_t RemoveMatching(const TriplePattern& pattern);
 
-  /// Applies a whole batch of adds/removes as ONE epoch: a concurrent
-  /// reader sees either none of the batch (pinned before the commit) or
-  /// all of it (pinned after) — never a prefix.
+  /// Applies a whole batch of adds/removes/clears as ONE epoch: a
+  /// concurrent reader sees either none of the batch (pinned before the
+  /// commit) or all of it (pinned after) — never a prefix. Ops run in
+  /// order, so a clear followed by adds replaces the contents.
   BatchResult ApplyBatch(std::vector<WriteOp> ops);
 
   /// True iff the exact statement is present.
@@ -232,7 +269,7 @@ class TripleStore {
   bool empty() const { return size() == 0; }
 
   /// \name Index key counts (distinct subjects/properties/object texts).
-  /// Cheap O(1) reads, kept exact by the index nodes' live counts; the
+  /// Cheap O(1) reads, kept exact by the key table's live counts; the
   /// query planner divides size() by these for average-cardinality
   /// estimates of runtime-bound patterns.
   /// @{
@@ -275,40 +312,62 @@ class TripleStore {
   /// \name Storage layout (DESIGN.md §10)
   ///
   /// One append-only record log (fixed-capacity chunk table, so a
-  /// record's address never moves) plus three chained hash indexes whose
-  /// posting lists are grow-by-copy spines. Records carry birth/death
-  /// epochs; nothing is ever mutated in place in a way a pinned reader
-  /// could observe, and replaced structures go through the epoch limbo.
-  /// The chunk table and bucket arrays (640 KB) are allocated at the
-  /// first add.
+  /// record's address never moves) plus one key table: the distinct
+  /// strings as key nodes, each holding its dense id and one grow-by-copy
+  /// posting spine and live count per field, a chunked id -> node table,
+  /// and a growable string -> id hash index. Records carry birth/death
+  /// epochs and their fields' key ids; nothing is ever mutated in place in
+  /// a way a pinned reader could observe, and replaced structures go
+  /// through the epoch limbo. The fixed tables (352 KB) are allocated at
+  /// the first add.
   /// @{
   static constexpr size_t kChunkSize = 512;    ///< Records per chunk.
   static constexpr size_t kMaxChunks = 32768;  ///< 16M records.
-  static constexpr size_t kIndexBuckets = 16384;
-  static constexpr size_t kInitialSpineCap = 4;
+  static constexpr size_t kKeyChunkSize = 4096;  ///< Ids per id-table chunk.
+  /// Ids the first hash index links; each regrowth doubles it.
+  static constexpr size_t kInitialKeyCapacity = 1024;
+  /// A record names at most three new keys.
+  static constexpr size_t kMaxKeyChunks =
+      3 * kChunkSize * kMaxChunks / kKeyChunkSize;
+  static_assert(kMaxKeyChunks * kKeyChunkSize < kNoKey);
+  static constexpr uint32_t kInitialSpineCap = 4;
   /// Commits between opportunistic reclaim/compaction sweeps.
   static constexpr uint64_t kReclaimInterval = 64;
   /// The log compacts when its dead-record count passes this floor and
   /// exceeds its live count (amortized O(1) per removal).
   static constexpr uint64_t kCompactDeadFloor = 1024;
-  /// Access-path choice stops probing further indexes once its best
+  /// Access-path choice stops probing further fields once its best
   /// candidate list is this short: walking the list is cheaper than
-  /// another index probe. Point reads (GetOne, Contains-style probes)
-  /// live on this path.
+  /// another lookup. Point reads (GetOne, Contains-style probes) live on
+  /// this path.
   static constexpr uint64_t kShortList = 64;
 
+  /// Field positions: a record's `keys` and a key node's `postings`.
+  enum Field : size_t {
+    kSubjectField = 0,
+    kPropertyField = 1,
+    kObjectField = 2,
+  };
+
+  /// One statement: its header (epochs, key ids, object kind) ahead of
+  /// the Triple that callbacks see, so a posting walk tests visibility and
+  /// matches ids without touching the strings.
   struct Record {
-    Triple triple;
     std::atomic<uint64_t> birth{0};
     std::atomic<uint64_t> death{EpochManager::kNeverDies};
+    std::array<KeyId, 3> keys{};
+    ObjectKind kind = ObjectKind::kLiteral;
+    Triple triple;
   };
   struct Chunk {
     Record records[kChunkSize];
   };
-  /// Posting-list storage, one heap block: this header, then `cap` record
-  /// slots. Slots below `used` are published and never rewritten.
+  /// Posting-list storage, one block: this header, then `cap` record
+  /// slots. Slots below `used` are published and never rewritten. A key's
+  /// first spine in a field comes from its log's arena with exactly
+  /// kInitialSpineCap slots; a grown copy has at least 2 * (that + 1).
   struct Spine {
-    explicit Spine(uint64_t capacity) : cap(capacity) {}
+    explicit Spine(uint32_t capacity) : cap(capacity) {}
     uint32_t* slots() {
       return reinterpret_cast<uint32_t*>(reinterpret_cast<char*>(this) +
                                          sizeof(Spine));
@@ -317,46 +376,75 @@ class TripleStore {
       return reinterpret_cast<const uint32_t*>(
           reinterpret_cast<const char*>(this) + sizeof(Spine));
     }
-    std::atomic<uint64_t> used{0};
-    const uint64_t cap;
+    bool in_arena() const { return cap == kInitialSpineCap; }
+    std::atomic<uint32_t> used{0};
+    const uint32_t cap;
   };
   static constexpr size_t kFirstSpineBytes =
       sizeof(Spine) + kInitialSpineCap * sizeof(uint32_t);
-  /// Chained hash node, one heap block: this header, the key's first spine
-  /// (kInitialSpineCap slots), then the key's bytes. Nodes are
-  /// append-at-head and never unlinked (whole-guts compaction is the only
-  /// way a key disappears). The first spine is never retired: once the
-  /// key outgrows it nothing writes to it again, and it goes with its node.
-  struct IndexNode {
-    IndexNode(IndexNode* nxt, size_t key_bytes)
-        : next(nxt), spine(first_spine()), key_size(key_bytes) {}
-    Spine* first_spine() {
-      return reinterpret_cast<Spine*>(reinterpret_cast<char*>(this) +
-                                      sizeof(IndexNode));
-    }
-    std::string_view key() const {
-      return {reinterpret_cast<const char*>(this) + sizeof(IndexNode) +
-                  kFirstSpineBytes,
-              key_size};
-    }
-    IndexNode* const next;
-    /// The key's posting list: the first spine, or the latest grown copy.
-    std::atomic<Spine*> spine;
-    /// Live postings under this key, for access-path sizing and the
-    /// Distinct*() counters. Exact for the latest state; a pinned reader
-    /// may see it ahead of its snapshot.
+  /// One key's postings in one field.
+  struct Postings {
+    /// Null until the first posting; then the first spine or the latest
+    /// grown copy.
+    std::atomic<Spine*> spine{nullptr};
+    /// Live postings, for access-path sizing and the Distinct*() counters.
+    /// Exact for the latest state; a pinned reader may see it ahead of its
+    /// snapshot.
     std::atomic<uint64_t> live{0};
-    const size_t key_size;
   };
-  struct IndexMap {
-    std::array<std::atomic<IndexNode*>, kIndexBuckets> buckets{};
+  /// A distinct string, one arena block: this header, then the bytes.
+  /// Whole-log compaction is the only way a key disappears.
+  struct KeyNode {
+    KeyNode(KeyId key_id, size_t key_bytes)
+        : id(key_id), key_size(static_cast<uint32_t>(key_bytes)) {}
+    std::string_view key() const {
+      return {reinterpret_cast<const char*>(this) + sizeof(KeyNode), key_size};
+    }
+    const KeyId id;
+    const uint32_t key_size;
+    std::array<Postings, 3> postings;  ///< By Field.
+  };
+  struct KeyChunk {
+    std::atomic<KeyNode*> nodes[kKeyChunkSize];
+  };
+  /// The string -> id hash index: chains of ids, one per bucket, with
+  /// twice as many buckets as the ids it can link. The writer builds a
+  /// copy twice the size when its ids are used up and retires the old one
+  /// through the epoch limbo, so chains stay short however many keys a
+  /// log collects (dead values included, until compaction).
+  struct KeyIndex {
+    explicit KeyIndex(size_t capacity) : heads(2 * capacity), links(capacity) {}
+    size_t capacity() const { return links.size(); }
+    /// Id + 1 of each bucket's latest key; 0 for an empty bucket.
+    std::vector<std::atomic<uint32_t>> heads;
+    /// By id: the key's hash in the high half, the next id + 1 in its
+    /// chain in the low half, so a lookup compares hashes before it
+    /// touches a node.
+    std::vector<std::atomic<uint64_t>> links;
+  };
+  /// Bump allocator for one log's key nodes and first spines: written by
+  /// the writer only, freed whole with its log.
+  class Arena {
+   public:
+    Arena() = default;
+    ~Arena();
+    Arena(const Arena&) = delete;
+    Arena& operator=(const Arena&) = delete;
+    void* Allocate(size_t bytes);
+
+   private:
+    static constexpr size_t kBlockBytes = 64 * 1024;
+    std::vector<char*> blocks_;
+    char* next_ = nullptr;
+    size_t left_ = 0;
   };
   struct Guts {
     std::atomic<uint64_t> size{0};  ///< Published records (incl. dead).
     std::array<std::atomic<Chunk*>, kMaxChunks> chunks{};
-    IndexMap by_subject;
-    IndexMap by_property;
-    IndexMap by_object;
+    std::atomic<uint32_t> key_count{0};  ///< Published key ids.
+    std::array<std::atomic<KeyChunk*>, kMaxKeyChunks> key_chunks{};
+    std::atomic<KeyIndex*> index{nullptr};
+    Arena arena;
   };
   /// @}
 
@@ -368,6 +456,11 @@ class TripleStore {
   Status RemoveLocked(const Triple& triple, WriterScope& ws)
       REQUIRES(write_mu_);
   size_t RemoveMatchingLocked(const TriplePattern& pattern, WriterScope& ws)
+      REQUIRES(write_mu_);
+  void ClearLocked(WriterScope& ws) REQUIRES(write_mu_);
+  /// Stamps a live record dead at the batch's epoch and drops it from its
+  /// keys' live counts.
+  void Kill(Record* rec, const Guts& guts, WriterScope& ws)
       REQUIRES(write_mu_);
   void MaybeCompact(bool force = false) REQUIRES(write_mu_);
   void ReclaimLocked() REQUIRES(write_mu_);
@@ -382,24 +475,75 @@ class TripleStore {
   ReadPin BeginRead() const;
   void EndRead(ReadPin pin) const;
 
-  /// The access path a pattern resolves to, plus the index node a
-  /// subject/object/property path will visit.
+  /// The access path a pattern resolves to, plus the postings a
+  /// subject/object/property path will walk.
   struct PathChoice {
     IndexPath path = IndexPath::kScan;
     uint64_t candidates = 0;
-    const IndexNode* node = nullptr;
+    const Postings* postings = nullptr;
   };
-  static PathChoice ChoosePath(const TriplePattern& pattern, uint64_t snapshot,
+  static PathChoice ChoosePath(const KeyPattern& pattern, uint64_t snapshot,
                                const Guts* guts);
+  /// ChoosePath for a selection that runs: bumps the `trim.select.*`
+  /// counters and fills `stats`' path and candidates.
+  static PathChoice BeginSelect(const KeyPattern& pattern, uint64_t snapshot,
+                                const Guts* guts, SelectStats* stats);
+  /// Calls `fn(Record&)` for each record on `choice`'s path that is
+  /// visible at `snapshot` and matches `pattern`, until `fn` returns false.
+  template <typename Fn>
+  static void ForMatches(const Guts* guts, uint64_t snapshot,
+                         const PathChoice& choice, const KeyPattern& pattern,
+                         SelectStats* stats, Fn&& fn);
+  static bool KeysMatch(const Record& rec, const KeyPattern& pattern) {
+    return (pattern.subject == kAnyKey ||
+            rec.keys[kSubjectField] == pattern.subject) &&
+           (pattern.property == kAnyKey ||
+            rec.keys[kPropertyField] == pattern.property) &&
+           (pattern.object == kAnyKey ||
+            (rec.keys[kObjectField] == pattern.object &&
+             rec.kind == pattern.object_kind));
+  }
+  /// Breadth-first from `resource` over resource-valued objects, following
+  /// object key ids straight to subject postings: `row_fn(const Triple&)`
+  /// sees every visible triple of every reached subject, `reached(
+  /// std::string_view)` each newly reached resource. One pin throughout.
+  template <typename RowFn, typename ReachFn>
+  void WalkReachable(std::string_view resource, RowFn&& row_fn,
+                     ReachFn&& reached) const;
+  /// The first record visible at `snapshot` whose fields are exactly
+  /// `exact`'s (no kAnyKey), found through the subject's postings; null
+  /// when a field is kNoKey.
+  static Record* FindExact(const Guts* guts, uint64_t snapshot,
+                           const KeyPattern& exact);
+  /// The id of `text` in `guts` (which may be null), or kNoKey.
+  static KeyId FindId(const Guts* guts, std::string_view text);
+  /// `t`'s fields as an exact KeyPattern for FindExact.
+  static KeyPattern ExactKeys(const Guts* guts, const Triple& t);
 
-  static Record* RecordAt(const Guts& guts, uint32_t slot);
-  static bool Visible(const Record& rec, uint64_t snapshot);
-  static size_t Bucket(std::string_view key) {
+  static Record* RecordAt(const Guts& guts, uint32_t slot) {
+    Chunk* chunk =
+        guts.chunks[slot / kChunkSize].load(std::memory_order_seq_cst);
+    return &chunk->records[slot % kChunkSize];
+  }
+  static bool Visible(const Record& rec, uint64_t snapshot) {
+    uint64_t birth = rec.birth.load(std::memory_order_relaxed);
+    if (birth == 0 || birth > snapshot) return false;
+    return snapshot < rec.death.load(std::memory_order_relaxed);
+  }
+  /// The node of a key id; null for kNoKey and kAnyKey.
+  static KeyNode* NodeOf(const Guts& guts, KeyId id) {
+    if (id >= kNoKey) return nullptr;
+    return guts.key_chunks[id / kKeyChunkSize]
+        .load(std::memory_order_seq_cst)
+        ->nodes[id % kKeyChunkSize]
+        .load(std::memory_order_seq_cst);
+  }
+  static uint32_t KeyHash(std::string_view key) {
     // Raw FNV-1a is no good here: its high bits barely depend on a key's
     // last bytes, so sequential ids ("inst:1", "inst:2", ...) would share
     // a few chains. The finalizer spreads every input bit over the output;
-    // the bucket takes bits 32-45.
-    return (Fmix64(Fnv1a(key)) >> 32) & (kIndexBuckets - 1);
+    // a bucket takes the low bits of the high half.
+    return static_cast<uint32_t>(Fmix64(Fnv1a(key)) >> 32);
   }
   static uint64_t Fnv1a(std::string_view s);
   /// MurmurHash3's 64-bit finalizer: a bijective avalanche mix.
@@ -411,16 +555,23 @@ class TripleStore {
     h ^= h >> 33;
     return h;
   }
-  static IndexNode* FindNode(const IndexMap& map, std::string_view key);
+  static KeyNode* FindKey(const Guts& guts, uint32_t hash,
+                          std::string_view key);
   static void FreeGuts(Guts* guts);
 
-  IndexNode* FindOrCreateNode(IndexMap& map, const std::string& key)
+  /// Links `id` into `index`'s chain for `hash`; the link is in place
+  /// before the bucket head names it.
+  static void LinkKey(KeyIndex* index, KeyId id, uint32_t hash);
+  /// Appends a new key to `guts`' table (the caller knows it is absent),
+  /// growing its hash index when the index's ids are used up.
+  KeyNode* CreateKey(Guts& guts, uint32_t hash, std::string_view key)
       REQUIRES(write_mu_);
-  /// Posts `slot` under `key` in one index and counts it live. True when
-  /// the key had no live posting before, i.e. it is a new distinct key.
-  bool Post(IndexMap& map, const std::string& key, uint32_t slot,
-            const Guts& guts) REQUIRES(write_mu_);
-  void AppendPosting(IndexNode* node, uint32_t slot, const Guts& guts)
+  /// Posts `slot` under `node`'s `field` and counts it live. True when the
+  /// key had no live posting in that field before, i.e. it is a new
+  /// distinct key there.
+  bool Post(Guts& guts, KeyNode* node, Field field, uint32_t slot)
+      REQUIRES(write_mu_);
+  void AppendPosting(Postings& postings, uint32_t slot, const Guts& guts)
       REQUIRES(write_mu_);
 
   /// Serializes mutations only; see the concurrency contract above.
@@ -429,8 +580,9 @@ class TripleStore {
   // slim-lint: allow(unguarded) -- internally synchronized epoch domain
   mutable EpochManager epoch_;
 
-  /// The record log and its indexes; null until the first add and after a
-  /// compaction that finds nothing live. Read lock-free under an epoch pin.
+  /// The record log and its key table; null until the first add and after
+  /// a compaction that finds nothing live. Read lock-free under an epoch
+  /// pin.
   std::atomic<Guts*> guts_{nullptr};
 
   std::atomic<uint64_t> live_count_{0};
@@ -445,6 +597,79 @@ class TripleStore {
   uint64_t max_death_epoch_ GUARDED_BY(write_mu_) = 0;
   uint64_t commit_count_ GUARDED_BY(write_mu_) = 0;
 };
+
+/// \brief A pinned, key-level read of one record log: resolves strings to
+/// key ids once, then selects by ids, so a join that probes with values
+/// it read from earlier rows never hashes a string.
+///
+/// Construction pins the store (nesting under any Snapshot the thread
+/// holds) and captures the current log; every id it yields and every row
+/// it hands out belong to that log and stay valid until it is destroyed,
+/// whatever writers and compactions do meanwhile. Reads never insert a
+/// key. Thread-affine like Snapshot.
+class TripleStore::KeyView {
+ public:
+  explicit KeyView(const TripleStore& store)
+      : store_(store),
+        pin_(store.BeginRead()),
+        guts_(store.guts_.load(std::memory_order_seq_cst)) {}
+  ~KeyView() { store_.EndRead(pin_); }
+  KeyView(const KeyView&) = delete;
+  KeyView& operator=(const KeyView&) = delete;
+
+  /// The id of `text`, or kNoKey when the store does not hold it.
+  KeyId Find(std::string_view text) const;
+  /// `pattern` with each fixed field resolved by one lookup.
+  KeyPattern Resolve(const TriplePattern& pattern) const;
+
+  /// TripleStore::SelectEach over ids: the same access path, the same
+  /// rows in the same order, the same stats and `trim.select.*` counters.
+  /// `fn(const Row&)` returning false stops the walk.
+  template <typename Fn>
+  void SelectEach(const KeyPattern& pattern, Fn&& fn,
+                  SelectStats* stats = nullptr) const {
+    const PathChoice choice =
+        BeginSelect(pattern, pin_.snapshot, guts_, stats);
+    ForMatches(guts_, pin_.snapshot, choice, pattern, stats,
+               [&fn](const Record& rec) {
+                 return fn(Row{rec.triple, rec.keys[kSubjectField],
+                               rec.keys[kPropertyField],
+                               rec.keys[kObjectField]});
+               });
+  }
+
+ private:
+  friend class TripleStore;
+  const TripleStore& store_;
+  const ReadPin pin_;
+  const Guts* const guts_;
+};
+
+template <typename Fn>
+void TripleStore::ForMatches(const Guts* guts, uint64_t snapshot,
+                             const PathChoice& choice,
+                             const KeyPattern& pattern, SelectStats* stats,
+                             Fn&& fn) {
+  auto visit = [&](Record* rec) {
+    if (!Visible(*rec, snapshot)) return true;
+    if (stats != nullptr) ++stats->examined;
+    if (!KeysMatch(*rec, pattern)) return true;
+    if (stats != nullptr) ++stats->matched;
+    return static_cast<bool>(fn(*rec));
+  };
+  if (choice.path == IndexPath::kScan) {
+    for (uint64_t slot = 0; slot < choice.candidates; ++slot) {
+      if (!visit(RecordAt(*guts, static_cast<uint32_t>(slot)))) return;
+    }
+  } else if (choice.postings != nullptr) {
+    const Spine* spine = choice.postings->spine.load(std::memory_order_seq_cst);
+    if (spine == nullptr) return;
+    const uint32_t used = spine->used.load(std::memory_order_seq_cst);
+    for (uint32_t j = 0; j < used; ++j) {
+      if (!visit(RecordAt(*guts, spine->slots()[j]))) return;
+    }
+  }
+}
 
 }  // namespace slim::trim
 

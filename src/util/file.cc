@@ -26,6 +26,29 @@ ssize_t ReadSome(int fd, char* buf, size_t len) {
   }
 }
 
+// fsyncs the directory holding `path`, so a rename into it survives a
+// crash. A file system that cannot sync a directory (EINVAL) has nothing
+// to flush.
+Status SyncParentDir(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("cannot open directory '" + dir +
+                           "': " + ErrnoText(errno));
+  }
+  int rc = ::fsync(fd);
+  int err = errno;
+  ::close(fd);
+  if (rc != 0 && err != EINVAL) {
+    return Status::IoError("fsync failed for directory '" + dir +
+                           "': " + ErrnoText(err));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -123,6 +146,8 @@ Status FileReplacer::Commit() {
     Fail("close failed for '" + tmp_path_ + "'");
   } else if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
     Fail("cannot rename '" + tmp_path_ + "' to '" + path_ + "'");
+  } else {
+    status_ = SyncParentDir(path_);
   }
   return status_;
 }

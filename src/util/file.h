@@ -21,10 +21,11 @@ Result<std::string> ReadFile(const std::string& path);
 ///
 /// The constructor creates `<path>.tmp`. Callers append bytes to buffer()
 /// and call WriteIfFull() now and then, so the file goes out in chunks of
-/// about kChunkBytes; Commit() writes the rest, fsyncs the temp file and
-/// renames it over `path`. Until Commit() succeeds the old file is
-/// untouched. On any failure, and when the replacer is destroyed
-/// uncommitted, the temp file is removed.
+/// about kChunkBytes; Commit() writes the rest, fsyncs the temp file,
+/// renames it over `path` and fsyncs the directory holding `path`, so a
+/// crash after a successful Commit() cannot bring the old file back. Until
+/// the rename the old file is untouched. On any failure before it, and
+/// when the replacer is destroyed uncommitted, the temp file is removed.
 class FileReplacer {
  public:
   /// WriteIfFull() writes once the buffer holds this many bytes.
@@ -40,8 +41,11 @@ class FileReplacer {
   /// Writes the buffer out once it holds kChunkBytes or more. A failure is
   /// kept and returned by Commit().
   void WriteIfFull();
-  /// Writes the rest of the buffer, fsyncs the temp file and renames it over
-  /// the target. IoError, with the old file untouched, on any failure.
+  /// Writes the rest of the buffer, fsyncs the temp file, renames it over
+  /// the target and fsyncs the target's directory. IoError on any failure:
+  /// with the old file untouched when the rename has not happened, and
+  /// with the new file in place but perhaps not durable when only the
+  /// directory fsync failed.
   Status Commit();
 
  private:

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <string>
 
 #include "slim/conformance.h"
+#include "trim/persistence.h"
+#include "util/file.h"
 #include "workload/corpus.h"
 #include "workload/session.h"
 
@@ -168,6 +172,38 @@ TEST_F(SessionTest, HandoffSaveLoadPreservesAwareness) {
   auto opened = doctor2.OpenAllScraps();
   ASSERT_TRUE(opened.ok()) << opened.status();
   EXPECT_GT(*opened, 0u);
+  std::remove(path.c_str());
+  std::remove((path + ".marks").c_str());
+}
+
+// LoadPad reads and checks the pad file before it adopts the marks file,
+// so a good marks file beside a truncated pad file changes nothing.
+TEST_F(SessionTest, LoadPadWithTruncatedPadFileChangesNothing) {
+  ASSERT_TRUE(session_.BuildRoundsPad().ok());
+  std::string path = ::testing::TempDir() + "/truncated_pad.xml";
+  ASSERT_TRUE(session_.app().SavePad(path).ok());
+  Result<std::string> saved = ReadFile(path);
+  ASSERT_TRUE(saved.ok());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << saved->substr(0, saved->size() / 2);
+  }
+
+  Session doctor2;
+  IcuOptions options;
+  options.patients = 3;
+  options.seed = 2026;
+  ASSERT_TRUE(doctor2.LoadIcuWorkload(GenerateIcuWorkload(options)).ok());
+  // A pad of its own and no marks, so the saved marks would all adopt.
+  ASSERT_TRUE(doctor2.app().NewPad("Night shift").ok());
+  const size_t marks_before = doctor2.marks().size();
+  const std::string triples_before = trim::StoreToXml(doctor2.app().store());
+  ASSERT_NE(marks_before, session_.marks().size());
+
+  Status st = doctor2.app().LoadPad(path);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(doctor2.marks().size(), marks_before);
+  EXPECT_EQ(trim::StoreToXml(doctor2.app().store()), triples_before);
   std::remove(path.c_str());
   std::remove((path + ".marks").c_str());
 }

@@ -7,6 +7,7 @@
 #include "slim/query.h"
 #include "slimpad/slimpad_app.h"
 #include "slimpad/slimpad_dmi.h"
+#include "trim/store_stats.h"
 
 namespace slim::store {
 namespace {
@@ -276,6 +277,34 @@ TEST_F(QueryExecTest, NoSolutions) {
   rows = ExecuteText(store_, "?s neverAProperty ?o");
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
+}
+
+// Reads resolve constants against the key table but never add to it:
+// 10,000 queries naming strings the store does not hold, and as many
+// direct reads, leave every key count and the table itself as they were.
+TEST_F(QueryExecTest, AbsentConstantsNeverInsertKeys) {
+  const trim::StoreStats before = trim::ComputeStats(store_);
+  ASSERT_GT(before.interned_strings, 0u);
+  for (int i = 0; i < 10000; ++i) {
+    const std::string absent = "absent" + std::to_string(i);
+    const std::string text =
+        i % 3 == 0   ? "?s scrapName \"" + absent + "\""
+        : i % 3 == 1 ? "<" + absent + "> ?p ?o"
+                     : "?s " + absent + " ?o . ?s scrapName ?n";
+    auto rows = ExecuteText(store_, text);
+    ASSERT_TRUE(rows.ok()) << text;
+    EXPECT_TRUE(rows->empty()) << text;
+    EXPECT_FALSE(store_.Contains(
+        {absent, "scrapName", trim::Object::Literal(absent)}));
+    EXPECT_FALSE(store_.GetOne(s1_, absent).has_value());
+    EXPECT_TRUE(store_.ViewFrom(absent).empty());
+  }
+  const trim::StoreStats after = trim::ComputeStats(store_);
+  EXPECT_EQ(after.subject_keys, before.subject_keys);
+  EXPECT_EQ(after.property_keys, before.property_keys);
+  EXPECT_EQ(after.object_keys, before.object_keys);
+  EXPECT_EQ(after.interned_strings, before.interned_strings);
+  EXPECT_EQ(after.interned_bytes, before.interned_bytes);
 }
 
 TEST_F(QueryExecTest, LiteralInSubjectPositionRejected) {

@@ -200,6 +200,122 @@ TEST_F(SlimPadDmiTest, SaveLoadRebuildsIdenticalPad) {
   std::remove(path.c_str());
 }
 
+// Every native object of `b` equals the one with its id in `a`, field by
+// field, and both hold the same ids in the same order.
+void ExpectSameObjects(const SlimPadDmi& a, const SlimPadDmi& b) {
+  auto ids = [](const auto& objects) {
+    std::vector<std::string> out;
+    for (const auto* o : objects) out.push_back(o->id());
+    return out;
+  };
+  ASSERT_EQ(ids(a.Pads()), ids(b.Pads()));
+  ASSERT_EQ(ids(a.Bundles()), ids(b.Bundles()));
+  ASSERT_EQ(ids(a.Scraps()), ids(b.Scraps()));
+  for (const SlimPad* x : a.Pads()) {
+    const SlimPad* y = *b.GetPad(x->id());
+    EXPECT_EQ(x->pad_name(), y->pad_name());
+    EXPECT_EQ(x->root_bundle(), y->root_bundle());
+  }
+  for (const Bundle* x : a.Bundles()) {
+    const Bundle* y = *b.GetBundle(x->id());
+    EXPECT_EQ(x->name(), y->name());
+    EXPECT_EQ(x->pos(), y->pos());
+    EXPECT_EQ(x->width(), y->width());
+    EXPECT_EQ(x->height(), y->height());
+    EXPECT_EQ(x->parent(), y->parent());
+    EXPECT_EQ(x->scraps(), y->scraps());
+    EXPECT_EQ(x->nested_bundles(), y->nested_bundles());
+  }
+  for (const Scrap* x : a.Scraps()) {
+    const Scrap* y = *b.GetScrap(x->id());
+    EXPECT_EQ(x->name(), y->name());
+    EXPECT_EQ(x->pos(), y->pos());
+    EXPECT_EQ(x->mark_handles(), y->mark_handles());
+    EXPECT_EQ(x->annotations(), y->annotations());
+    EXPECT_EQ(x->linked_scraps(), y->linked_scraps());
+    for (const std::string& h : x->mark_handles()) {
+      EXPECT_EQ((*a.GetMarkHandle(h))->mark_id(),
+                (*b.GetMarkHandle(h))->mark_id());
+    }
+  }
+  EXPECT_EQ(a.NativeObjectCount(), b.NativeObjectCount());
+}
+
+TEST_F(SlimPadDmiTest, ReloadedDmiEqualsTheSavingOneObjectForObject) {
+  const SlimPad* pad = *dmi_.Create_SlimPad("Rounds");
+  const Bundle* root = *dmi_.Create_Bundle("Census", {0, 0}, 800, 600);
+  ASSERT_TRUE(dmi_.Update_rootBundle(pad->id(), root->id()).ok());
+  std::vector<std::string> scraps;
+  for (int b = 0; b < 4; ++b) {
+    const Bundle* bed = *dmi_.Create_Bundle("Bed " + std::to_string(b),
+                                            {10.5 * b, 20}, 300 + b, 200);
+    ASSERT_TRUE(dmi_.AddNestedBundle(root->id(), bed->id()).ok());
+    const Bundle* lytes =
+        *dmi_.Create_Bundle("Electrolyte", {5, 7.25}, 120, 80 + b);
+    ASSERT_TRUE(dmi_.AddNestedBundle(bed->id(), lytes->id()).ok());
+    for (int i = 0; i < 5; ++i) {
+      const Scrap* scrap =
+          *dmi_.Create_Scrap("K " + std::to_string(4 + i), {1.5 * i, 2});
+      // Scraps go into the two bundles alternately, so content order is
+      // not creation order.
+      ASSERT_TRUE(
+          dmi_.AddScrapToBundle(i % 2 ? bed->id() : lytes->id(), scrap->id())
+              .ok());
+      const MarkHandle* handle =
+          *dmi_.Create_MarkHandle("mark" + std::to_string(b * 5 + i));
+      ASSERT_TRUE(dmi_.SetScrapMark(scrap->id(), handle->id()).ok());
+      for (int n = 0; n < i % 3; ++n) {
+        ASSERT_TRUE(
+            dmi_.AddScrapAnnotation(scrap->id(), "note " + std::to_string(n))
+                .ok());
+      }
+      if (scraps.size() > 1) {
+        ASSERT_TRUE(dmi_.LinkScraps(scrap->id(), scraps.back()).ok());
+        ASSERT_TRUE(dmi_.LinkScraps(scrap->id(), scraps.front()).ok());
+      }
+      scraps.push_back(scrap->id());
+    }
+    ASSERT_TRUE(dmi_.Update_bundleName(bed->id(), "Bed " + std::to_string(b) +
+                                                      " (moved)")
+                    .ok());
+  }
+  ASSERT_TRUE(dmi_.Update_scrapPos(scraps[3], {99, 98}).ok());
+  ASSERT_TRUE(dmi_.Update_bundleSize(root->id(), 1024, 768).ok());
+
+  std::string path = ::testing::TempDir() + "/pad_objects.xml";
+  ASSERT_TRUE(dmi_.save(path).ok());
+  trim::TripleStore store2;
+  SlimPadDmi dmi2(&store2);
+  ASSERT_TRUE(dmi2.load(path).ok());
+  ExpectSameObjects(dmi_, dmi2);
+  // Rebuilding in place gives the same objects too.
+  ASSERT_TRUE(dmi_.RebuildFromTriples().ok());
+  ExpectSameObjects(dmi2, dmi_);
+  std::remove(path.c_str());
+}
+
+TEST_F(SlimPadDmiTest, BundleMissingWidthFailsRebuildWithNotFound) {
+  // A rebuild drops the native objects, so keep the id, not the bundle.
+  const std::string id =
+      (*dmi_.Create_Bundle("John", {10, 20}, 300, 200))->id();
+  ASSERT_TRUE(store_
+                  .Remove(trim::Triple{id, "bundleWidth",
+                                       trim::Object::Literal("300")})
+                  .ok());
+  const std::string expected =
+      "instance '" + id + "' has no literal value for 'bundleWidth'";
+  Status st = dmi_.RebuildFromTriples();
+  EXPECT_TRUE(st.IsNotFound()) << st;
+  EXPECT_EQ(st.message(), expected);
+  // A resource where the attribute's first value should be is no value
+  // either, whatever follows it.
+  ASSERT_TRUE(store_.AddResource(id, "bundleWidth", "inst:1").ok());
+  ASSERT_TRUE(store_.AddLiteral(id, "bundleWidth", "300").ok());
+  st = dmi_.RebuildFromTriples();
+  EXPECT_TRUE(st.IsNotFound()) << st;
+  EXPECT_EQ(st.message(), expected);
+}
+
 // Property test: random pads survive the triple round trip bit-exactly.
 class PadRoundTrip : public ::testing::TestWithParam<uint64_t> {};
 

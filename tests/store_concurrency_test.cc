@@ -16,9 +16,13 @@
 //  - exact accounting: size(), Distinct*(), ComputeStats and the
 //    planner's per-key counts always equal a recount of the live triples,
 //    across pins, Clear() and compaction;
-//  - the index-node layout: a snapshot pinned while a key's postings fit
-//    in the spine inside its node keeps reading exactly its rows while
-//    the key grows through external spines, shrinks, and is compacted.
+//  - the posting layout: a snapshot pinned while a key's postings fit in
+//    its first spine keeps reading exactly its rows while the key grows
+//    through external spines, shrinks, and is compacted;
+//  - the key table: ids resolve while the writer creates keys, a query
+//    pinned across a whole-log compaction (which renumbers every id)
+//    returns its snapshot's rows, and a load replaces the contents under
+//    one writer lock while another writer toggles a statement of the file.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +38,8 @@
 #include <thread>
 #include <vector>
 
+#include "slim/query.h"
+#include "trim/persistence.h"
 #include "trim/store_stats.h"
 #include "trim/triple_store.h"
 
@@ -660,6 +666,252 @@ TEST(StoreConcurrency, PinOnWriterThreadReadsKeyThroughGrowthAndCompaction) {
 
 TEST(StoreConcurrency, PinOnReaderThreadReadsKeyThroughGrowthAndCompaction) {
   GrowKeyPastItsNodeUnderPin(/*pin_on_writer=*/false);
+}
+
+// ---------------------------------------------------------------------------
+// The key table
+// ---------------------------------------------------------------------------
+
+using KeyId = TripleStore::KeyId;
+using KeyPattern = TripleStore::KeyPattern;
+using Row = TripleStore::Row;
+
+// Readers resolve strings and probe by id while the writer keeps creating
+// keys, past two id-table chunks: every statement a reader saw published
+// resolves to ids whose probe returns exactly it, and a key a reader finds
+// ahead of the published count only ever names its own statement.
+TEST(StoreConcurrency, ReadersResolveKeysWhileWriterAddsNewOnes) {
+  constexpr int kAdds = 6000;  // 12,007 keys
+  constexpr int kReaders = 3;
+  TripleStore store;
+  auto statement = [](int i) {
+    return Lit("s" + std::to_string(i), "p" + std::to_string(i % 7),
+               "o" + std::to_string(i));
+  };
+  std::atomic<int> published{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> probes{0};
+  std::atomic<uint64_t> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::mt19937 rng(static_cast<unsigned>(r));
+      while (!done.load(std::memory_order_acquire)) {
+        const int n = published.load(std::memory_order_acquire);
+        if (n == 0) continue;
+        const Triple t = statement(static_cast<int>(rng() % n));
+        TripleStore::KeyView view(store);
+        KeyPattern exact;
+        exact.subject = view.Find(t.subject);
+        exact.property = view.Find(t.property);
+        exact.object = view.Find(t.object.text);
+        int rows = 0;
+        view.SelectEach(exact, [&](const Row& row) {
+          ++rows;
+          if (!(row.triple == t) || row.subject != exact.subject ||
+              row.property != exact.property || row.object != exact.object) {
+            bad.fetch_add(1, std::memory_order_relaxed);
+          }
+          return true;
+        });
+        if (rows != 1) bad.fetch_add(1, std::memory_order_relaxed);
+        const Triple ahead = statement(n + r);
+        KeyPattern by_subject;
+        by_subject.subject = view.Find(ahead.subject);
+        view.SelectEach(by_subject, [&](const Row& row) {
+          if (!(row.triple == ahead)) {
+            bad.fetch_add(1, std::memory_order_relaxed);
+          }
+          return true;
+        });
+        probes.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int i = 0; i < kAdds; ++i) {
+    EXPECT_TRUE(store.Add(statement(i)).ok());
+    published.store(i + 1, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(probes.load(), 0u);
+  EXPECT_EQ(bad.load(), 0u);
+  StoreStats stats = ComputeStats(store);
+  EXPECT_EQ(stats.interned_strings, 2u * kAdds + 7);
+  EXPECT_EQ(store.DistinctSubjects(), static_cast<size_t>(kAdds));
+  EXPECT_EQ(store.DistinctProperties(), 7u);
+  EXPECT_EQ(store.DistinctObjects(), static_cast<size_t>(kAdds));
+}
+
+// A query pinned after a mass removal keeps its snapshot while the writer
+// compacts the whole log under the pin, renumbering every key, and then
+// adds and removes more. A KeyView that captured the old log reads on
+// through it with the old ids; queries started after the compaction read
+// the compacted log. Both give exactly the snapshot's rows.
+TEST(StoreConcurrency, QueryPinnedAcrossCompactionReturnsItsSnapshotRows) {
+  constexpr int kScraps = 3000;
+  TripleStore store;
+  auto scrap = [](int i) { return "scrap" + std::to_string(i); };
+  auto contains = [&](int i) {
+    return Triple{"bundle", "bundleContent", Object::Resource(scrap(i))};
+  };
+  auto named = [&](int i) {
+    return Lit(scrap(i), "scrapName", "K " + std::to_string(i % 7));
+  };
+  std::vector<WriteOp> adds;
+  for (int i = 0; i < kScraps; ++i) {
+    adds.push_back(WriteOp::AddOp(contains(i)));
+    adds.push_back(WriteOp::AddOp(named(i)));
+  }
+  ASSERT_EQ(store.ApplyBatch(std::move(adds)).applied, 2u * kScraps);
+  // Two thirds of the scraps go, enough dead records to compact the log.
+  std::vector<WriteOp> removes;
+  std::multiset<std::string> expected;
+  for (int i = 0; i < kScraps; ++i) {
+    if (i % 3 == 0) {
+      expected.insert(scrap(i) + "|" + named(i).object.text);
+      continue;
+    }
+    removes.push_back(WriteOp::RemoveOp(contains(i)));
+    removes.push_back(WriteOp::RemoveOp(named(i)));
+  }
+  const size_t removed = removes.size();
+  ASSERT_EQ(store.ApplyBatch(std::move(removes)).applied, removed);
+  // One more commit, so the pin below is past every death epoch and does
+  // not hold the compaction back.
+  ASSERT_TRUE(store.Add(Lit("pad", "padName", "Rounds")).ok());
+
+  std::optional<TripleStore::Snapshot> pin;
+  pin.emplace(store);
+  std::optional<TripleStore::KeyView> old_view;
+  old_view.emplace(store);
+  const KeyId bundle = old_view->Find("bundle");
+  const KeyId content = old_view->Find("bundleContent");
+  const KeyId scrap_name = old_view->Find("scrapName");
+  const KeyId old_scrap3 = old_view->Find(scrap(3));
+  ASSERT_EQ(ComputeStats(store).tombstoned, removed);
+  store.ReclaimRetired();
+  ASSERT_EQ(ComputeStats(store).tombstoned, 0u);  // compacted under the pin
+  EXPECT_NE(TripleStore::KeyView(store).Find(scrap(3)), old_scrap3);
+  // Writes the pin must not see.
+  for (int i = kScraps; i < kScraps + 300; ++i) {
+    ASSERT_TRUE(store.Add(contains(i)).ok());
+    ASSERT_TRUE(store.Add(named(i)).ok());
+  }
+  for (int i = 0; i < 900; i += 3) ASSERT_TRUE(store.Remove(named(i)).ok());
+
+  auto render = [](const std::vector<store::Binding>& rows) {
+    std::multiset<std::string> out;
+    for (const store::Binding& row : rows) {
+      out.insert(row.at("s").text + "|" + row.at("n").text);
+    }
+    return out;
+  };
+  Result<store::Query> query =
+      store::Query::Parse("?b bundleContent ?s . ?s scrapName ?n");
+  ASSERT_TRUE(query.ok());
+
+  // The join by hand through the view that captured the old log.
+  std::multiset<std::string> seen;
+  KeyPattern by_content;
+  by_content.subject = bundle;
+  by_content.property = content;
+  old_view->SelectEach(by_content, [&](const Row& member) {
+    KeyPattern name;
+    name.subject = member.object;
+    name.property = scrap_name;
+    old_view->SelectEach(name, [&](const Row& row) {
+      seen.insert(member.triple.object.text + "|" + row.triple.object.text);
+      return true;
+    });
+    return true;
+  });
+  EXPECT_EQ(seen, expected);
+  old_view.reset();
+
+  Result<std::vector<store::Binding>> rows = store::Execute(store, *query);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(render(*rows), expected);
+  Result<store::AnalyzedQuery> analyzed = store::ExplainAnalyze(store, *query);
+  ASSERT_TRUE(analyzed.ok());
+  EXPECT_EQ(render(analyzed->solutions), expected);
+
+  // Unpinned: the 700 kept scraps that still have a name, and the 300 new.
+  pin.reset();
+  rows = store::Execute(store, *query);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 1000u);
+}
+
+// StoreFromXml replaces the contents in one ApplyBatch under one writer
+// lock while a second writer keeps adding and removing a statement of the
+// file and adding statements of its own. Every load of a good text
+// succeeds and leaves exactly the file's statements plus the second
+// writer's: the toggled one perhaps, and the own statements it committed
+// after the load, which are a contiguous run. Every load of a truncated
+// text fails and changes nothing of the file's statements.
+TEST(StoreConcurrency, LoadsReplaceContentsWhileAWriterTogglesAFileStatement) {
+  constexpr int kRounds = 60;
+  const Triple toggled = Lit("bundle", "bundleName", "Electrolyte");
+  auto file_text = [&](const std::string& tag) {
+    TripleStore file;
+    EXPECT_TRUE(file.Add(toggled).ok());
+    for (int i = 0; i < 150; ++i) {
+      EXPECT_TRUE(
+          file.AddResource("bundle", "bundleContent", tag + std::to_string(i))
+              .ok());
+    }
+    return StoreToXml(file);
+  };
+  const std::string texts[2] = {file_text("a"), file_text("b")};
+  auto own = [](uint64_t i) {
+    return Lit("writer", "added", std::to_string(i));
+  };
+
+  TripleStore store;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t i = 0; !done.load(std::memory_order_acquire); ++i) {
+      (void)store.Add(toggled);
+      (void)store.Add(own(i));
+      (void)store.Remove(toggled);
+    }
+  });
+  // The file's statements (less the toggled one) and the run of the
+  // writer's own statements, read under one snapshot.
+  auto check = [&](const std::string& text, const std::string& what) {
+    TripleStore expected;
+    EXPECT_TRUE(StoreFromXml(text, &expected).ok());
+    EXPECT_TRUE(expected.Remove(toggled).ok());
+    std::multiset<std::string> file_rows = Render(expected.Select({}));
+    TripleStore::Snapshot snap(store);
+    std::multiset<std::string> rows;
+    std::set<uint64_t> own_rows;
+    store.ForEach([&](const Triple& t) {
+      if (t == toggled) return;
+      if (t.subject == "writer") {
+        own_rows.insert(std::stoull(t.object.text));
+      } else {
+        rows.insert(TripleToString(t));
+      }
+    });
+    EXPECT_EQ(rows, file_rows) << what;
+    if (!own_rows.empty()) {
+      EXPECT_EQ(*own_rows.rbegin() - *own_rows.begin() + 1, own_rows.size())
+          << what;
+    }
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string& text = texts[round % 2];
+    Status st = StoreFromXml(text, &store);
+    EXPECT_TRUE(st.ok()) << st;
+    check(text, "after load " + std::to_string(round));
+    Status bad = StoreFromXml(text.substr(0, text.size() / 2), &store);
+    EXPECT_FALSE(bad.ok());
+    check(text, "after failed load " + std::to_string(round));
+  }
+  done.store(true, std::memory_order_release);
+  writer.join();
 }
 
 }  // namespace

@@ -49,9 +49,9 @@ TEST(StoreStatsTest, HashBackendCounts) {
   EXPECT_EQ(stats.predicate_cardinality[2], 1u);
   EXPECT_EQ(stats.predicate_max_fanout, 3u);
 
-  // Hash backend has no interning table.
-  EXPECT_EQ(stats.interned_strings, 0u);
-  EXPECT_EQ(stats.interned_bytes, 0u);
+  // The key table holds each distinct string once: a, p, x, y, q, b, z.
+  EXPECT_EQ(stats.interned_strings, 7u);
+  EXPECT_EQ(stats.interned_bytes, 7u);
   EXPECT_EQ(stats.approximate_bytes, store.ApproximateBytes());
   EXPECT_GT(stats.approximate_bytes, 0u);
 }
@@ -162,7 +162,7 @@ TEST(StoreStatsTest, PublishRefreshesGaugeFamily) {
   EXPECT_EQ(registry.GetGauge("slim.store.index.object.postings")->value(),
             4);
   EXPECT_EQ(registry.GetGauge("slim.store.predicate.max_fanout")->value(), 3);
-  EXPECT_EQ(registry.GetGauge("slim.store.interned.strings")->value(), 0);
+  EXPECT_EQ(registry.GetGauge("slim.store.interned.strings")->value(), 7);
   EXPECT_EQ(registry.GetGauge("slim.store.approx_bytes")->value(),
             static_cast<int64_t>(stats.approximate_bytes));
 
