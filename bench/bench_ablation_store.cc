@@ -1,17 +1,19 @@
-// Ablation (paper §6): TRIM's hash-indexed store vs the interned/columnar
-// alternative ("some data sets are quite large and we are developing
-// alternative implementation mechanisms").
+// Ablation (paper §6: "some data sets are quite large and we are
+// developing alternative implementation mechanisms"): TRIM's two store-file
+// forms on its one store — the XML interchange form (paper §4.4) and the
+// binary pad form SaveStore writes (trim/persistence.h).
 //
-// Regenerates: bulk-load rate, point read, one-subject selection,
-// whole-graph view, memory per triple, and persistence (XML vs binary)
-// for both implementations at matched sizes. Expected shape: the interned
-// store wins on memory and bulk load/persist; the hash store wins on
-// write-then-read-mixed workloads (no index rebuilds).
+// Regenerates, at matched pad-shaped sizes: file bytes per triple, save
+// time (serialize to bytes) and cold load time (decode, check and install
+// into an empty store) for both forms, and the store's in-memory bytes per
+// triple twice — its own ApproximateBytes and glibc's mallinfo2 heap delta
+// across the build — so the formula can be read against the heap.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench/bench_common.h"
-#include "trim/interned_store.h"
 #include "trim/persistence.h"
 #include "trim/triple_store.h"
 #include "util/rng.h"
@@ -19,9 +21,8 @@
 namespace slim::trim {
 namespace {
 
-// Pad-shaped filler shared by both stores (mirrors bench_trim_store).
-template <typename Store>
-void FillPadShaped(Store* store, int64_t scraps, Rng* rng) {
+// Pad-shaped filler (mirrors bench_trim_store): 6 triples per scrap.
+void FillPadShaped(TripleStore* store, int64_t scraps, Rng* rng) {
   int64_t bundles = (scraps + 15) / 16;
   for (int64_t b = 0; b < bundles; ++b) {
     std::string bid = "bundle" + std::to_string(b);
@@ -45,160 +46,80 @@ void FillPadShaped(Store* store, int64_t scraps, Rng* rng) {
   }
 }
 
-template <typename Store>
-void RunBulkLoad(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  for (auto _ : state) {
-    state.PauseTiming();
-    Store store;
-    Rng rng(7);
-    state.ResumeTiming();
-    FillPadShaped(&store, n, &rng);
-    benchmark::DoNotOptimize(store.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n * 6);
-}
-
-void BM_BulkLoad_Hashed(benchmark::State& state) {
-  RunBulkLoad<TripleStore>(state);
-}
-void BM_BulkLoad_Interned(benchmark::State& state) {
-  RunBulkLoad<InternedTripleStore>(state);
-}
-BENCHMARK(BM_BulkLoad_Hashed)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_BulkLoad_Interned)->Arg(1000)->Arg(10000);
-
-template <typename Store>
-void RunPointRead(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Store store;
+std::unique_ptr<TripleStore> PadStore(int64_t scraps) {
+  auto store = std::make_unique<TripleStore>();
   Rng rng(7);
-  FillPadShaped(&store, n, &rng);
-  int64_t i = 0;
+  FillPadShaped(store.get(), scraps, &rng);
+  return store;
+}
+
+Status LoadBinary(const std::string& bytes, TripleStore* store) {
+  TripleStore::Image image;
+  SLIM_RETURN_NOT_OK(DecodeStore(bytes, &image));
+  return store->InstallImage(image);
+}
+
+// Memory and file size, reported as counters.
+void BM_Footprint(benchmark::State& state) {
+  const size_t heap_before = bench::HeapInUseBytes();
+  std::unique_ptr<TripleStore> store = PadStore(state.range(0));
+  const size_t heap_after = bench::HeapInUseBytes();
+  const double triples = static_cast<double>(store->size());
+  const std::string xml = StoreToXml(*store);
+  const std::string binary = StoreToBinary(*store);
   for (auto _ : state) {
-    auto v = store.GetOne("scrap" + std::to_string(i++ % n), "scrapName");
-    benchmark::DoNotOptimize(v);
+    benchmark::DoNotOptimize(store->ApproximateBytes());
   }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_PointRead_Hashed(benchmark::State& state) {
-  RunPointRead<TripleStore>(state);
-}
-void BM_PointRead_Interned(benchmark::State& state) {
-  RunPointRead<InternedTripleStore>(state);
-}
-BENCHMARK(BM_PointRead_Hashed)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_PointRead_Interned)->Arg(10000)->Arg(100000);
-
-template <typename Store>
-void RunViewFrom(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Store store;
-  Rng rng(7);
-  FillPadShaped(&store, n, &rng);
-  for (auto _ : state) {
-    auto view = store.ViewFrom("bundle0");
-    benchmark::DoNotOptimize(view);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-
-void BM_ViewFrom_Hashed(benchmark::State& state) {
-  RunViewFrom<TripleStore>(state);
-}
-void BM_ViewFrom_Interned(benchmark::State& state) {
-  RunViewFrom<InternedTripleStore>(state);
-}
-BENCHMARK(BM_ViewFrom_Hashed)->Arg(10000);
-BENCHMARK(BM_ViewFrom_Interned)->Arg(10000);
-
-// Mixed write/read: interleave adds with point reads — the access pattern
-// that forces the interned store to rebuild postings repeatedly.
-template <typename Store>
-void RunMixed(benchmark::State& state) {
-  Store store;
-  Rng rng(7);
-  FillPadShaped(&store, 1000, &rng);
-  int64_t i = 0;
-  for (auto _ : state) {
-    std::string sid = "extra" + std::to_string(i);
-    SLIM_BENCH_CHECK(store.AddLiteral(sid, "scrapName", "x"));
-    auto v = store.GetOne("scrap" + std::to_string(i % 1000), "scrapName");
-    benchmark::DoNotOptimize(v);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations() * 2);
-}
-
-void BM_MixedWriteRead_Hashed(benchmark::State& state) {
-  RunMixed<TripleStore>(state);
-}
-void BM_MixedWriteRead_Interned(benchmark::State& state) {
-  RunMixed<InternedTripleStore>(state);
-}
-BENCHMARK(BM_MixedWriteRead_Hashed);
-BENCHMARK(BM_MixedWriteRead_Interned);
-
-// Memory + persistence size, reported as counters.
-void BM_FootprintComparison(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  TripleStore hashed;
-  InternedTripleStore interned;
-  {
-    Rng rng(7);
-    FillPadShaped(&hashed, n, &rng);
-  }
-  {
-    Rng rng(7);
-    FillPadShaped(&interned, n, &rng);
-  }
-  interned.Compact();
-  std::string xml = StoreToXml(hashed);
-  std::string bin = interned.SerializeBinary();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(interned.size());
-  }
-  state.counters["hashed_bytes_per_triple"] =
-      static_cast<double>(hashed.ApproximateBytes()) /
-      static_cast<double>(hashed.size());
-  state.counters["interned_bytes_per_triple"] =
-      static_cast<double>(interned.ApproximateBytes()) /
-      static_cast<double>(interned.size());
+  state.counters["approx_bytes_per_triple"] =
+      static_cast<double>(store->ApproximateBytes()) / triples;
+  state.counters["heap_bytes_per_triple"] =
+      static_cast<double>(heap_after - heap_before) / triples;
   state.counters["xml_file_bytes_per_triple"] =
-      static_cast<double>(xml.size()) / static_cast<double>(hashed.size());
+      static_cast<double>(xml.size()) / triples;
   state.counters["binary_file_bytes_per_triple"] =
-      static_cast<double>(bin.size()) / static_cast<double>(interned.size());
+      static_cast<double>(binary.size()) / triples;
 }
-BENCHMARK(BM_FootprintComparison)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_Footprint)->Arg(1000)->Arg(10000);
 
-// Cold load: XML-into-hashed vs binary-into-interned.
-void BM_ColdLoad_XmlHashed(benchmark::State& state) {
-  TripleStore store;
-  Rng rng(7);
-  FillPadShaped(&store, state.range(0), &rng);
-  std::string xml = StoreToXml(store);
+void BM_Save_Xml(benchmark::State& state) {
+  std::unique_ptr<TripleStore> store = PadStore(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(StoreToXml(*store));
+  }
+  state.SetItemsProcessed(state.iterations() * store->size());
+}
+void BM_Save_Binary(benchmark::State& state) {
+  std::unique_ptr<TripleStore> store = PadStore(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(StoreToBinary(*store));
+  }
+  state.SetItemsProcessed(state.iterations() * store->size());
+}
+BENCHMARK(BM_Save_Xml)->Arg(10000);
+BENCHMARK(BM_Save_Binary)->Arg(10000);
+
+void BM_ColdLoad_Xml(benchmark::State& state) {
+  std::unique_ptr<TripleStore> store = PadStore(state.range(0));
+  const std::string xml = StoreToXml(*store);
   for (auto _ : state) {
     TripleStore loaded;
     SLIM_BENCH_CHECK(StoreFromXml(xml, &loaded));
     benchmark::DoNotOptimize(loaded.size());
   }
-  state.SetItemsProcessed(state.iterations() * store.size());
+  state.SetItemsProcessed(state.iterations() * store->size());
 }
-void BM_ColdLoad_BinaryInterned(benchmark::State& state) {
-  InternedTripleStore store;
-  Rng rng(7);
-  FillPadShaped(&store, state.range(0), &rng);
-  std::string bin = store.SerializeBinary();
+void BM_ColdLoad_Binary(benchmark::State& state) {
+  std::unique_ptr<TripleStore> store = PadStore(state.range(0));
+  const std::string binary = StoreToBinary(*store);
   for (auto _ : state) {
-    auto loaded = InternedTripleStore::DeserializeBinary(bin);
-    if (!loaded.ok()) state.SkipWithError("load failed");
-    benchmark::DoNotOptimize(loaded->size());
+    TripleStore loaded;
+    SLIM_BENCH_CHECK(LoadBinary(binary, &loaded));
+    benchmark::DoNotOptimize(loaded.size());
   }
-  state.SetItemsProcessed(state.iterations() * store.size());
+  state.SetItemsProcessed(state.iterations() * store->size());
 }
-BENCHMARK(BM_ColdLoad_XmlHashed)->Arg(10000);
-BENCHMARK(BM_ColdLoad_BinaryInterned)->Arg(10000);
+BENCHMARK(BM_ColdLoad_Xml)->Arg(10000);
+BENCHMARK(BM_ColdLoad_Binary)->Arg(10000);
 
 }  // namespace
 }  // namespace slim::trim

@@ -20,6 +20,9 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "bench/bench_json.h"
 #include "obs/obs.h"
@@ -40,6 +43,19 @@ inline void CheckOk(const Status& status, const char* what, const char* file,
 
 #define SLIM_BENCH_CHECK(expr) \
   ::slim::bench::CheckOk((expr), #expr, __FILE__, __LINE__)
+
+/// Bytes the allocator has handed out and not had back (glibc's
+/// mallinfo2: arena chunks in use plus mmapped blocks); the difference
+/// across a build is what the built structure costs the heap, allocator
+/// overhead included. 0 where mallinfo2 is missing.
+inline size_t HeapInUseBytes() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
 
 /// \brief Reads the growth of a default-registry obs counter across a
 /// bench run, so benches can report *measured* work (selects issued,

@@ -1,10 +1,11 @@
 // Experiment F10 (paper Fig. 10): save(fileName) / load(fileName).
 //
-// Regenerates: whole-pad persistence through the triple store's XML form as
-// the pad grows — serialize, write, read, parse, and rebuild the native
-// object graph (the load path exercises TRIM parse + object rebuild, the
-// paper's "consistency between the triple representation and the
-// application data").
+// Regenerates: whole-pad persistence as the pad grows — serialize and parse
+// the triple store's XML interchange form, rebuild the native object graph
+// (the load path exercises TRIM parse + object rebuild, the paper's
+// "consistency between the triple representation and the application
+// data"), and the save/load disk round trip through the pad file, which is
+// binary (trim/persistence.h).
 
 #include <benchmark/benchmark.h>
 
@@ -90,7 +91,7 @@ BENCHMARK_REGISTER_F(PadFixture, FullLoadWithObjectRebuild)
     ->Arg(100)->Arg(1000)->Arg(10000);
 
 BENCHMARK_DEFINE_F(PadFixture, SaveLoadThroughDisk)(benchmark::State& state) {
-  std::string path = "/tmp/bench_pad_persistence.xml";
+  std::string path = "/tmp/bench_pad_persistence.pad";
   for (auto _ : state) {
     SLIM_BENCH_CHECK(dmi_->save(path));
     trim::TripleStore store;

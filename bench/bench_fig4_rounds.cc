@@ -127,7 +127,7 @@ BENCHMARK_REGISTER_F(RoundsFixture, OpenAllScraps)->Arg(4)->Arg(16);
 
 // Handoff (paper §6): save + reload the whole pad.
 BENCHMARK_DEFINE_F(RoundsFixture, HandoffSaveLoad)(benchmark::State& state) {
-  std::string path = "/tmp/bench_handoff_pad.xml";
+  std::string path = "/tmp/bench_handoff.pad";
   for (auto _ : state) {
     SLIM_BENCH_CHECK(session_->app().SavePad(path));
     Session doctor2;

@@ -121,7 +121,7 @@ int main() {
             << " electrolyte gridlets found on the pad." << std::endl;
 
   // --- Handoff -------------------------------------------------------------
-  const std::string path = "/tmp/icu_rounds_pad.xml";
+  const std::string path = "/tmp/icu_rounds.pad";
   CHECK_OK(app.SavePad(path));
   std::cout << "\nSaved pad for handoff; covering physician reloading..."
             << std::endl;

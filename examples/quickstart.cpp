@@ -97,7 +97,7 @@ int main() {
             << "\"" << std::endl;
 
   // --- Persistence -------------------------------------------------------
-  const std::string path = "/tmp/quickstart_pad.xml";
+  const std::string path = "/tmp/quickstart.pad";
   CHECK_OK(app.SavePad(path));
 
   mark::MarkManager marks2;

@@ -136,7 +136,7 @@ int main() {
             << open->in_place_content << "\"" << std::endl;
 
   // Share it: save, then a colleague loads the same pad.
-  const std::string path = "/tmp/shared_annotations_pad.xml";
+  const std::string path = "/tmp/shared_annotations.pad";
   CHECK_OK(app.SavePad(path));
   mark::MarkManager marks2;
   CHECK_OK(marks2.RegisterModule(&html_module));

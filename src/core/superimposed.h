@@ -12,7 +12,7 @@
 ///    subclasses, per-application mark modules, alternative resolvers, and
 ///    the staleness validator.
 ///  - **Superimposed information management** (`slim::trim`, `slim::store`):
-///    TRIM triple stores (hash-indexed and interned), the metamodel
+///    the TRIM triple store and its pad files, the metamodel
 ///    (models/schemas/instances as triples), conformance checking, schema
 ///    induction, mappings, queries, and RDF/XML interchange.
 ///  - **Application-specific DMIs** (`slim::dmi`, `slim::pad`): the

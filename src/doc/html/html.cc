@@ -3,6 +3,7 @@
 #include <cctype>
 #include <set>
 
+#include "doc/xml/reader.h"
 #include "util/file.h"
 #include "util/strings.h"
 
@@ -270,6 +271,11 @@ class HtmlParser {
     while (stack_.size() > 1 && ImplicitlyCloses(Top()->name(), name)) {
       stack_.pop_back();
     }
+
+    // Nesting is bounded as the XML parser bounds it, but HTML never fails:
+    // at the bound the deepest open element closes first, and the new one
+    // becomes its sibling.
+    if (stack_.size() >= xml::kMaxXmlDepth) stack_.pop_back();
 
     xml::Element* elem = Top()->AddElement(name);
     for (auto& a : attrs) elem->SetAttribute(a.name, std::move(a.value));

@@ -10,6 +10,8 @@
 /// (normalized to lowercase), void elements, unquoted and bare attributes,
 /// implied end tags for <p>/<li>/<td>/<tr>/..., raw-text <script>/<style>,
 /// unknown entities passed through literally, and auto-closing at EOF.
+/// Elements nest at most xml::kMaxXmlDepth deep: past that, the deepest
+/// open element is closed before the next one opens.
 /// The result reuses the XML DOM, wrapped in a synthetic <html> root when
 /// the input lacks one, so XmlPath addressing works unchanged.
 

@@ -193,10 +193,10 @@ Status SlimPadApp::SavePad(const std::string& path) const {
 Status SlimPadApp::LoadPad(const std::string& path) {
   // Nothing changes unless both files load: the pad file is read and
   // checked before the marks are adopted, and the store is replaced last.
-  std::vector<trim::TripleStore::WriteOp> statements;
-  SLIM_RETURN_NOT_OK(trim::ReadStoreFile(path, &statements));
+  trim::TripleStore::Image image;
+  SLIM_RETURN_NOT_OK(trim::ReadStoreFile(path, &image));
   SLIM_RETURN_NOT_OK(marks_->LoadFromFile(path + ".marks"));
-  SLIM_RETURN_NOT_OK(trim::ReplaceContents(std::move(statements), &store_));
+  SLIM_RETURN_NOT_OK(store_.InstallImage(image));
   SLIM_RETURN_NOT_OK(dmi_->RebuildFromTriples());
   pad_ = nullptr;
   std::vector<const SlimPad*> pads = dmi_->Pads();

@@ -121,7 +121,8 @@ class SlimPadDmi {
   /// @}
 
   /// \name Persistence (paper Fig. 10: save(fileName) / load(fileName)).
-  /// The file holds the triple store's XML serialization.
+  /// The file holds the triple store in its binary pad form; load also
+  /// reads XML store files (trim/persistence.h).
   /// @{
   Status save(const std::string& file_name) const;
   Status load(const std::string& file_name);

@@ -1,12 +1,9 @@
 #include "trim/persistence.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <filesystem>
-#include <functional>
+#include <cstring>
 #include <optional>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "doc/xml/reader.h"
@@ -25,7 +22,13 @@ constexpr std::string_view kStatementTag = "trim:statement";
 constexpr std::string_view kResourceTag = "trim:resource";
 constexpr std::string_view kLiteralTag = "trim:literal";
 
-using WriteOp = TripleStore::WriteOp;
+// The binary form (persistence.h): no XML text can begin with byte 0x89.
+constexpr std::string_view kMagic("\x89SLIMPAD", 8);
+constexpr uint32_t kVersion = 1;
+constexpr size_t kHeaderBytes = kMagic.size() + 4 + 8;
+constexpr size_t kRecordBytes = 3 * 4 + 1;
+
+using ImageStatement = TripleStore::ImageStatement;
 
 // Store persistence failures are exactly what the flight recorder exists
 // for: log the event, snapshot a diagnostics bundle (when configured) and
@@ -38,10 +41,8 @@ Status NotePersistenceFailure(Status st, [[maybe_unused]] const char* op,
   return st;
 }
 
-// Appends the store's XML to *out, calling `after_statement` (when set)
-// after each statement so a file save can hand the text off in chunks.
-void WriteStore(const TripleStore& store, std::string* out,
-                const std::function<void()>& after_statement) {
+// Appends the store's XML to *out.
+void WriteStore(const TripleStore& store, std::string* out) {
   xml::Writer w(out);
   w.Declaration();
   w.Start(kStoreTag, /*block=*/true);
@@ -55,93 +56,152 @@ void WriteStore(const TripleStore& store, std::string* out,
     if (!t.object.text.empty()) w.Text(t.object.text);
     w.End();
     w.End();
-    if (after_statement) after_statement();
   });
   w.End();
 }
 
-// Positions of the statements read so far, in an open-addressing table
-// keyed by the triples they name: the repeat check holds no second copy of
-// any triple and allocates one array, not a node per statement.
-class StatementSet {
- public:
-  explicit StatementSet(const std::vector<WriteOp>* ops) : ops_(ops) {}
+char* PutLE(char* at, uint64_t value, size_t bytes) {
+  for (size_t i = 0; i < bytes; ++i) at[i] = static_cast<char>(value >> (8 * i));
+  return at + bytes;
+}
 
-  /// Adds the statement at position `i`; false when an equal one is in.
-  bool Insert(size_t i) {
-    if (2 * (size_ + 1) > slots_.size()) Grow();
-    const Triple& t = (*ops_)[i].triple;
-    const uint32_t hash = Hash(t);
-    const size_t mask = slots_.size() - 1;
-    for (size_t at = hash & mask;; at = (at + 1) & mask) {
-      Slot& slot = slots_[at];
-      if (slot.pos == 0) {
-        slot = {static_cast<uint32_t>(i + 1), hash};
-        ++size_;
-        return true;
-      }
-      if (slot.hash == hash && (*ops_)[slot.pos - 1].triple == t) return false;
-    }
+uint64_t GetLE(const char* at, size_t bytes) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < bytes; ++i) {
+    value |= uint64_t{static_cast<unsigned char>(at[i])} << (8 * i);
   }
+  return value;
+}
 
- private:
-  struct Slot {
-    uint32_t pos;  ///< Position + 1; 0 marks an empty slot.
-    uint32_t hash;
+// FNV-1a over little-endian 64-bit words, seeded with the length. A step
+// is a bijection of the running value and of the word, so a change
+// confined to one word (any single-byte change) changes the result.
+uint64_t Checksum(std::string_view body) {
+  constexpr uint64_t kPrime = 1099511628211ull;
+  uint64_t h = 1469598103934665603ull ^ body.size();
+  size_t at = 0;
+  for (; at + 8 <= body.size(); at += 8) {
+    h = (h ^ GetLE(body.data() + at, 8)) * kPrime;
+  }
+  if (at < body.size()) {
+    h = (h ^ GetLE(body.data() + at, body.size() - at)) * kPrime;
+  }
+  return h;
+}
+
+// Appends the store's binary form to *out, written in place at its final
+// size.
+void WriteBinary(const TripleStore& store, std::string* out) {
+  store.ExportImage([out](const std::vector<std::string_view>& strings,
+                          const std::vector<ImageStatement>& statements) {
+    size_t bytes = kHeaderBytes + 4 + 4 * strings.size() + 4 +
+                   kRecordBytes * statements.size();
+    for (std::string_view s : strings) bytes += s.size();
+    const size_t start = out->size();
+    out->resize(start + bytes);
+    char* header = out->data() + start;
+    char* at = PutLE(header + kHeaderBytes, strings.size(), 4);
+    for (std::string_view s : strings) {
+      at = PutLE(at, s.size(), 4);
+      std::memcpy(at, s.data(), s.size());
+      at += s.size();
+    }
+    at = PutLE(at, statements.size(), 4);
+    for (const ImageStatement& st : statements) {
+      at = PutLE(at, st.subject, 4);
+      at = PutLE(at, st.property, 4);
+      at = PutLE(at, st.object, 4);
+      *at++ = st.kind == ObjectKind::kResource ? 1 : 0;
+    }
+    std::memcpy(header, kMagic.data(), kMagic.size());
+    PutLE(header + kMagic.size(), kVersion, 4);
+    PutLE(header + kMagic.size() + 4,
+          Checksum(std::string_view(header + kHeaderBytes, bytes - kHeaderBytes)),
+          8);
+  });
+}
+
+Status Corrupt(const std::string& what) {
+  return Status::ParseError("store file: " + what);
+}
+
+// Decodes the binary form in `bytes`, which `image` holds: its strings are
+// views of them. Every count and length is checked against the bytes left
+// before anything is reserved or read.
+Status ReadBinary(std::string_view bytes, TripleStore::Image* image) {
+  if (bytes.size() < kHeaderBytes) return Corrupt("header cut short");
+  const uint64_t version = GetLE(bytes.data() + kMagic.size(), 4);
+  if (version != kVersion) {
+    return Corrupt("unsupported version " + std::to_string(version));
+  }
+  const std::string_view body = bytes.substr(kHeaderBytes);
+  if (GetLE(bytes.data() + kMagic.size() + 4, 8) != Checksum(body)) {
+    return Corrupt("checksum mismatch");
+  }
+  size_t at = 0;
+  auto read_u32 = [&](uint64_t* value) {
+    if (body.size() - at < 4) return false;
+    *value = GetLE(body.data() + at, 4);
+    at += 4;
+    return true;
   };
-
-  static uint32_t Hash(const Triple& t) {
-    std::hash<std::string> h;
-    size_t seed = h(t.subject);
-    seed = seed * 0x9E3779B97F4A7C15ull + h(t.property);
-    seed = seed * 0x9E3779B97F4A7C15ull + h(t.object.text);
-    seed += static_cast<size_t>(t.object.kind);
-    return static_cast<uint32_t>(seed ^ (seed >> 32));
+  uint64_t strings = 0;
+  if (!read_u32(&strings) || strings > (body.size() - at) / 4) {
+    return Corrupt("string count exceeds the file");
   }
-
-  void Grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(std::max<size_t>(1024, 2 * old.size()), Slot{0, 0});
-    const size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.pos == 0) continue;
-      size_t at = s.hash & mask;
-      while (slots_[at].pos != 0) at = (at + 1) & mask;
-      slots_[at] = s;
+  image->Reserve(strings, 0);
+  for (uint64_t i = 0; i < strings; ++i) {
+    uint64_t length = 0;
+    if (!read_u32(&length) || length > body.size() - at) {
+      return Corrupt("string " + std::to_string(i) + " overruns the file");
     }
+    if (!image->AddString(body.substr(at, length))) {
+      return Corrupt("string " + std::to_string(i) + " repeats an earlier one");
+    }
+    at += length;
   }
+  uint64_t records = 0;
+  if (!read_u32(&records) || body.size() - at != records * kRecordBytes) {
+    return Corrupt("record count does not match the file's size");
+  }
+  image->Reserve(0, records);
+  for (uint64_t r = 0; r < records; ++r, at += kRecordBytes) {
+    const char* rec = body.data() + at;
+    const auto kind = static_cast<unsigned char>(rec[12]);
+    if (kind > 1) {
+      return Corrupt("record " + std::to_string(r) + " has object kind " +
+                     std::to_string(kind));
+    }
+    ImageStatement st;
+    st.subject = static_cast<TripleStore::KeyId>(GetLE(rec, 4));
+    st.property = static_cast<TripleStore::KeyId>(GetLE(rec + 4, 4));
+    st.object = static_cast<TripleStore::KeyId>(GetLE(rec + 8, 4));
+    st.kind = kind == 1 ? ObjectKind::kResource : ObjectKind::kLiteral;
+    SLIM_RETURN_NOT_OK(image->AddStatement(st));
+  }
+  return Status::OK();
+}
 
-  const std::vector<WriteOp>* ops_;
-  std::vector<Slot> slots_;
-  size_t size_ = 0;
-};
-
-// The <trim:statement> being read: its attributes, and the text of its first
-// direct <trim:resource>/<trim:literal> child.
+// The <trim:statement> being read: its attributes' string ids, and whether
+// it has seen its first direct <trim:resource>/<trim:literal> child.
 struct PendingStatement {
-  Triple triple;
+  ImageStatement statement;
   bool has_object = false;
   bool mixed_objects = false;  // both a resource and a literal child
   bool in_object = false;      // inside the first object child
 };
 
-// Add ops to reserve for `bytes` of XML: as many bytes of ops as of text. A
-// saved statement takes ~130 bytes and an op 120, so a saved store seldom
-// regrows the vector.
-size_t OpsFor(uintmax_t bytes) {
-  return static_cast<size_t>(bytes / sizeof(WriteOp));
-}
-
-// Reads and checks every statement of `xml_text` into `adds` (add ops, in
-// document order) without touching any store. The error is the first
-// structural error or repeated statement in document order; a syntax error
-// anywhere still wins, so reading goes on to the end.
-Status ReadStatements(std::string_view xml_text, std::vector<WriteOp>* adds) {
-  adds->reserve(OpsFor(xml_text.size()));
+// Reads and checks every statement of `xml_text` into `image`, interning
+// each string as it is read, without touching any store. The error is the
+// first structural error or rejected statement in document order; a
+// syntax error anywhere still wins, so reading goes on to the end.
+Status ReadStatements(std::string_view xml_text, TripleStore::Image* image) {
+  // A saved statement takes ~130 bytes, and pads repeat most strings.
+  image->Reserve(xml_text.size() / 256, xml_text.size() / 128);
   xml::Reader reader(xml_text);
-  StatementSet seen(adds);
   Status first_error;
   std::optional<PendingStatement> stmt;
+  std::string object_text;  // the object's text is all its descendant text
   for (bool done = false; !done;) {
     SLIM_RETURN_NOT_OK(reader.Next());
     switch (reader.kind()) {
@@ -163,8 +223,9 @@ Status ReadStatements(std::string_view xml_text, std::vector<WriteOp>* adds) {
                 "<trim:statement> missing subject/property attribute");
           } else {
             stmt.emplace();
-            stmt->triple.subject = *subject;
-            stmt->triple.property = *property;
+            stmt->statement.subject = image->Intern(*subject);
+            stmt->statement.property = image->Intern(*property);
+            object_text.clear();
           }
         } else if (reader.depth() == 2 && stmt &&
                    (reader.name() == kResourceTag ||
@@ -175,8 +236,8 @@ Status ReadStatements(std::string_view xml_text, std::vector<WriteOp>* adds) {
           if (!stmt->has_object) {
             stmt->has_object = true;
             stmt->in_object = true;
-            stmt->triple.object.kind = kind;
-          } else if (stmt->triple.object.kind != kind) {
+            stmt->statement.kind = kind;
+          } else if (stmt->statement.kind != kind) {
             stmt->mixed_objects = true;
           }
         }
@@ -190,25 +251,16 @@ Status ReadStatements(std::string_view xml_text, std::vector<WriteOp>* adds) {
             first_error = Status::ParseError(
                 "<trim:statement> must contain exactly one of "
                 "<trim:resource> or <trim:literal>");
-          } else if (stmt->triple.subject.empty() ||
-                     stmt->triple.property.empty()) {
-            // TripleStore::Add's own check, made before anything is added.
-            first_error = Status::InvalidArgument(
-                "triple subject/property must be non-empty");
           } else {
-            adds->push_back(WriteOp::AddOp(std::move(stmt->triple)));
-            if (!seen.Insert(adds->size() - 1)) {
-              first_error = Status::AlreadyExists(
-                  "duplicate statement " + TripleToString(adds->back().triple));
-            }
+            stmt->statement.object = image->Intern(object_text);
+            first_error = image->AddStatement(stmt->statement);
           }
           stmt.reset();
         }
         break;
       case xml::TokenKind::kText:
       case xml::TokenKind::kCData:
-        // The object's text is all its descendant text (DOM InnerText).
-        if (stmt && stmt->in_object) stmt->triple.object.text += reader.text();
+        if (stmt && stmt->in_object) object_text += reader.text();
         break;
       case xml::TokenKind::kComment:
         break;
@@ -224,62 +276,47 @@ Status ReadStatements(std::string_view xml_text, std::vector<WriteOp>* adds) {
 
 std::string StoreToXml(const TripleStore& store) {
   std::string out;
-  WriteStore(store, &out, nullptr);
+  WriteStore(store, &out);
   return out;
 }
 
 Status StoreFromXml(std::string_view xml_text, TripleStore* store) {
   if (store == nullptr) return Status::InvalidArgument("null store");
-  std::vector<WriteOp> adds;
-  SLIM_RETURN_NOT_OK(ReadStatements(xml_text, &adds));
-  return ReplaceContents(std::move(adds), store);
+  TripleStore::Image image;
+  SLIM_RETURN_NOT_OK(ReadStatements(xml_text, &image));
+  return store->InstallImage(image);
 }
 
-Status ReplaceContents(std::vector<WriteOp> adds, TripleStore* store) {
-  if (store == nullptr) return Status::InvalidArgument("null store");
-  // One clear op, then the adds, under one writer lock: nothing another
-  // writer commits can land between the removals and the adds. The adds
-  // skip the duplicate probe: ReadStatements rejected repeats, and every
-  // old triple is dead at the batch's epoch.
-  std::vector<WriteOp> batch;
-  batch.reserve(adds.size() + 1);
-  batch.push_back(WriteOp::ClearOp());
-  for (WriteOp& op : adds) {
-    op.allow_duplicates = true;
-    batch.push_back(std::move(op));
+std::string StoreToBinary(const TripleStore& store) {
+  std::string out;
+  WriteBinary(store, &out);
+  return out;
+}
+
+Status DecodeStore(std::string bytes, TripleStore::Image* image) {
+  if (image == nullptr || !image->strings().empty()) {
+    return Status::InvalidArgument("store files decode into an empty image");
   }
-  TripleStore::BatchResult result = store->ApplyBatch(std::move(batch));
-  // A bulk load retires many outgrown posting lists in its one epoch; free
-  // them now rather than at some later write.
-  store->ReclaimRetired();
-  for (const Status& status : result.statuses) {
-    if (!status.ok()) return status;
+  if (std::string_view(bytes).starts_with(kMagic)) {
+    return ReadBinary(image->Hold(std::move(bytes)), image);
   }
-  return Status::OK();
+  return ReadStatements(bytes, image);
 }
 
 Status SaveStore(const TripleStore& store, const std::string& path) {
   SLIM_OBS_HEARTBEAT("trim.persistence");
   FileReplacer file(path);
-  WriteStore(store, file.buffer(), [&file] { file.WriteIfFull(); });
+  WriteBinary(store, file.buffer());
   Status st = file.Commit();
   if (!st.ok()) return NotePersistenceFailure(std::move(st), "save", path);
   return st;
 }
 
-Status ReadStoreFile(const std::string& path, std::vector<WriteOp>* adds) {
+Status ReadStoreFile(const std::string& path, TripleStore::Image* image) {
   SLIM_OBS_HEARTBEAT("trim.persistence");
   Status st = [&]() -> Status {
-    // The ops are reserved before the text is read: the text, freed first
-    // once the ops own their strings, then sits above the ops, and the two
-    // go back to the allocator as one block rather than leaving a hole for
-    // the new triples to split.
-    adds->clear();
-    std::error_code size_error;
-    const uintmax_t bytes = std::filesystem::file_size(path, size_error);
-    if (!size_error) adds->reserve(OpsFor(bytes));
-    SLIM_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-    return ReadStatements(text, adds);
+    SLIM_ASSIGN_OR_RETURN(std::string bytes, ReadFile(path));
+    return DecodeStore(std::move(bytes), image);
   }();
   if (!st.ok()) return NotePersistenceFailure(std::move(st), "load", path);
   return st;
@@ -287,9 +324,9 @@ Status ReadStoreFile(const std::string& path, std::vector<WriteOp>* adds) {
 
 Status LoadStore(const std::string& path, TripleStore* store) {
   if (store == nullptr) return Status::InvalidArgument("null store");
-  std::vector<WriteOp> adds;
-  SLIM_RETURN_NOT_OK(ReadStoreFile(path, &adds));
-  Status st = ReplaceContents(std::move(adds), store);
+  TripleStore::Image image;
+  SLIM_RETURN_NOT_OK(ReadStoreFile(path, &image));
+  Status st = store->InstallImage(image);
   if (!st.ok()) return NotePersistenceFailure(std::move(st), "load", path);
   return st;
 }

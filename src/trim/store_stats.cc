@@ -66,17 +66,11 @@ std::string StoreStats::ToText() const {
     }
   }
   line("predicate fanout", fanout);
-  if (backend == "hash") {
-    line("epoch", std::to_string(epoch_current) + " (lag " +
-                      std::to_string(epoch_lag) + ", limbo " +
-                      std::to_string(epoch_limbo) + ", reclaimed " +
-                      std::to_string(epoch_reclaimed) + "/" +
-                      std::to_string(epoch_retired) + ")");
-  }
-  if (backend == "interned") {
-    line("interned strings", std::to_string(interned_strings) + " (" +
-                                 std::to_string(interned_bytes) + " bytes)");
-  }
+  line("epoch", std::to_string(epoch_current) + " (lag " +
+                    std::to_string(epoch_lag) + ", limbo " +
+                    std::to_string(epoch_limbo) + ", reclaimed " +
+                    std::to_string(epoch_reclaimed) + "/" +
+                    std::to_string(epoch_retired) + ")");
   line("approx resident bytes", std::to_string(approximate_bytes));
   return out;
 }
@@ -161,37 +155,6 @@ StoreStats ComputeStats(const TripleStore& store) {
   stats.epoch_retired = epoch.retired;
   stats.epoch_reclaimed = epoch.reclaimed;
   stats.epoch_limbo = epoch.limbo;
-  stats.approximate_bytes = store.ApproximateBytes();
-  return stats;
-}
-
-StoreStats ComputeStats(const InternedTripleStore& store) {
-  StoreStats stats;
-  stats.backend = "interned";
-  stats.live_triples = store.live_count_;
-  std::unordered_map<uint32_t, uint64_t> per_property;
-  std::unordered_set<uint32_t> subjects;
-  std::unordered_set<uint32_t> objects;
-  for (const auto& row : store.rows_) {
-    if (row.dead) {
-      ++stats.tombstoned;
-      continue;
-    }
-    subjects.insert(row.subject);
-    objects.insert(row.object);
-    ++per_property[row.property];
-  }
-  stats.subject_keys = subjects.size();
-  stats.property_keys = per_property.size();
-  stats.object_keys = objects.size();
-  stats.subject_postings = stats.live_triples;
-  stats.property_postings = stats.live_triples;
-  stats.object_postings = stats.live_triples;
-  for (const auto& [property, fanout] : per_property) {
-    RecordFanout(fanout, &stats);
-  }
-  stats.interned_strings = store.pool_.size();
-  stats.interned_bytes = store.pool_.ApproximateBytes();
   stats.approximate_bytes = store.ApproximateBytes();
   return stats;
 }

@@ -8,25 +8,23 @@
 /// The paper's TRIM layer serves every selection and reachability view, so
 /// understanding *why* a store behaves the way it does — index shapes,
 /// predicate skew, tombstone debt, resident bytes — matters as much as the
-/// per-op counters PR 1 added. `ComputeStats` walks either backend
-/// (hash-indexed `TripleStore` or columnar `InternedTripleStore`) and
-/// returns one `StoreStats`; `PublishStoreStats` refreshes the
-/// `slim.store.*` gauge family in a metrics registry on demand, from where
-/// the Prometheus endpoint and `obs_dump` pick it up.
+/// per-op `trim.*` counters. `ComputeStats` walks the store and returns one
+/// `StoreStats`; `PublishStoreStats` refreshes the `slim.store.*` gauge
+/// family in a metrics registry on demand, from where the Prometheus
+/// endpoint and `obs_dump` pick it up.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "trim/interned_store.h"
 #include "trim/triple_store.h"
 
 namespace slim::trim {
 
 /// \brief Point-in-time statistics for one store instance.
 struct StoreStats {
-  std::string backend;  ///< "hash" or "interned".
+  std::string backend;  ///< "hash": the hash-indexed TripleStore.
 
   uint64_t live_triples = 0;
   uint64_t tombstoned = 0;  ///< Dead slots awaiting reuse / compaction.
@@ -35,13 +33,13 @@ struct StoreStats {
   uint64_t subject_keys = 0;
   uint64_t property_keys = 0;
   uint64_t object_keys = 0;
-  /// Total posting entries per index (>= keys; == live triples per index
-  /// for both backends, kept explicit so an index bug shows up as a skew).
+  /// Total posting entries per index (>= keys; == live triples per index,
+  /// kept explicit so an index bug shows up as a skew).
   uint64_t subject_postings = 0;
   uint64_t property_postings = 0;
   uint64_t object_postings = 0;
-  /// Longest key chain in any hash bucket of the key table (hash
-  /// backend; zero for interned): a lookup's worst-case key compares.
+  /// Longest key chain in any hash bucket of the key table: a lookup's
+  /// worst-case key compares.
   uint64_t longest_chain = 0;
 
   /// Predicate-cardinality histogram: bucket i counts predicates whose
@@ -51,13 +49,12 @@ struct StoreStats {
   std::vector<uint64_t> predicate_cardinality;
   uint64_t predicate_max_fanout = 0;
 
-  /// Interning-table occupancy: every string in the hash backend's key
-  /// table (until a compaction drops the unused ones) or the interned
-  /// backend's pool, and their bytes.
+  /// Key-table occupancy: every string in the key table (until a
+  /// compaction drops the unused ones), and their bytes.
   uint64_t interned_strings = 0;
   uint64_t interned_bytes = 0;
 
-  /// \name Epoch domain (hash backend): snapshot-read lag + limbo debt.
+  /// \name Epoch domain: snapshot-read lag + limbo debt.
   /// `epoch_lag` is current minus the oldest pinned epoch — a reader
   /// pinned for a long time holds back reclamation by exactly this many
   /// committed batches.
@@ -84,9 +81,6 @@ struct StoreStats {
 /// buckets, plus its live triples for `approximate_bytes`. Holds the
 /// store's writer lock.
 StoreStats ComputeStats(const TripleStore& store);
-
-/// Walks the interned columnar store. O(rows).
-StoreStats ComputeStats(const InternedTripleStore& store);
 
 /// Refreshes the `slim.store.*` gauge family in `registry` (the process
 /// default when null) from `stats`. Gauges are Set, not added, so repeated

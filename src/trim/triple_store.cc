@@ -171,18 +171,23 @@ void TripleStore::AppendPosting(Postings& postings, uint32_t slot,
                                 const Guts& guts) {
   Spine* spine = postings.spine.load(std::memory_order_relaxed);
   uint32_t used = spine->used.load(std::memory_order_relaxed);
-  if (used < spine->cap) {
-    spine->slots()[used] = slot;
-    spine->used.store(used + 1, std::memory_order_seq_cst);
-    return;
+  if (used == spine->cap) {
+    spine = GrowSpine(postings, 2 * (used + 1), guts);
+    used = spine->used.load(std::memory_order_relaxed);
   }
-  // Grow by copy. Entries dead at or before the oldest epoch anyone could
-  // still pin are dropped on the way — this is where retired postings are
-  // pruned as the oldest pinned epoch advances. A future reader pins at
-  // least current(), so min(MinPinned, current) bounds every reachable
-  // snapshot from below.
+  spine->slots()[used] = slot;
+  spine->used.store(used + 1, std::memory_order_seq_cst);
+}
+
+TripleStore::Spine* TripleStore::GrowSpine(Postings& postings, uint32_t cap,
+                                           const Guts& guts) {
+  // Entries dead at or before the oldest epoch anyone could still pin are
+  // dropped on the way — this is where retired postings are pruned as the
+  // oldest pinned epoch advances. A future reader pins at least current(),
+  // so min(MinPinned, current) bounds every reachable snapshot from below.
+  Spine* spine = postings.spine.load(std::memory_order_relaxed);
+  const uint32_t used = spine->used.load(std::memory_order_relaxed);
   uint64_t cutoff = std::min(epoch_.MinPinned(), epoch_.current());
-  uint32_t cap = 2 * (used + 1);
   Spine* grown =
       new (::operator new(sizeof(Spine) + cap * sizeof(uint32_t))) Spine(cap);
   uint32_t kept = 0;
@@ -193,7 +198,6 @@ void TripleStore::AppendPosting(Postings& postings, uint32_t slot,
     }
     grown->slots()[kept++] = s;
   }
-  grown->slots()[kept++] = slot;
   grown->used.store(kept, std::memory_order_relaxed);  // published by the swap
   postings.spine.store(grown, std::memory_order_seq_cst);
   // The first spine goes with its log's arena. A reader pinned at the
@@ -202,6 +206,7 @@ void TripleStore::AppendPosting(Postings& postings, uint32_t slot,
   if (!spine->in_arena()) {
     epoch_.Retire(epoch_.current() + 1, [spine] { ::operator delete(spine); });
   }
+  return grown;
 }
 
 void TripleStore::FreeGuts(Guts* guts) {
@@ -462,13 +467,10 @@ TripleStore::BatchResult TripleStore::ApplyBatch(std::vector<WriteOp> ops) {
     Status s;
     switch (op.kind) {
       case WriteOp::Kind::kAdd:
-        s = AddLocked(std::move(op.triple), op.allow_duplicates, ws);
+        s = AddLocked(std::move(op.triple), /*allow_duplicates=*/false, ws);
         break;
       case WriteOp::Kind::kRemove:
         s = RemoveLocked(op.triple, ws);
-        break;
-      case WriteOp::Kind::kClear:
-        ClearLocked(ws);
         break;
     }
     if (s.ok()) ++result.applied;
@@ -526,6 +528,126 @@ void TripleStore::ClearLocked(WriterScope& ws) {
   distinct_subjects_.store(0, std::memory_order_relaxed);
   distinct_properties_.store(0, std::memory_order_relaxed);
   distinct_objects_.store(0, std::memory_order_relaxed);
+}
+
+Status TripleStore::InstallImage(const Image& image) {
+  const std::vector<ImageStatement>& statements = image.statements_;
+  const size_t n = statements.size();
+  util::MutexLock lock(&write_mu_);
+  auto room = [&] {
+    const Guts* guts = guts_.load(std::memory_order_relaxed);
+    return kChunkSize * kMaxChunks -
+           (guts != nullptr ? guts->size.load(std::memory_order_relaxed) : 0);
+  };
+  if (room() < n) MaybeCompact(/*force=*/true);
+  if (room() < n) {
+    return Status::OutOfRange("triple store has no room for the image");
+  }
+  {
+    WriterScope ws(*this);
+    ClearLocked(ws);
+    if (n != 0) InstallLocked(image, ws);
+  }
+  // A load kills the whole old contents in its one epoch; free what no
+  // reader can see now rather than at some later write.
+  ReclaimLocked();
+  return Status::OK();
+}
+
+void TripleStore::InstallLocked(const Image& image, WriterScope& ws) {
+  const std::vector<ImageStatement>& statements = image.statements_;
+  Guts* guts = guts_.load(std::memory_order_relaxed);
+  if (guts == nullptr) {
+    guts = new Guts();
+    guts_.store(guts, std::memory_order_seq_cst);
+  }
+  // Each string a statement uses is found or created once, by the hash the
+  // image took, and each of its spines gets room for all of its postings.
+  struct Target {
+    Spine* spine = nullptr;
+    uint32_t next = 0;  ///< Postings in the spine; the next one goes here.
+  };
+  std::vector<Target> targets(3 * image.strings_.size());
+  for (const ImageStatement& st : statements) {
+    ++targets[3 * st.subject + kSubjectField].next;
+    ++targets[3 * st.property + kPropertyField].next;
+    ++targets[3 * st.object + kObjectField].next;
+  }
+  std::vector<KeyId> ids(image.strings_.size(), kNoKey);
+  std::atomic<uint64_t>* distinct[3] = {
+      &distinct_subjects_, &distinct_properties_, &distinct_objects_};
+  for (size_t i = 0; i < ids.size(); ++i) {
+    Target* target = &targets[3 * i];
+    if (target[0].next == 0 && target[1].next == 0 && target[2].next == 0) {
+      continue;
+    }
+    KeyNode* node = FindKey(*guts, image.hashes_[i], image.strings_[i]);
+    if (node == nullptr) {
+      node = CreateKey(*guts, image.hashes_[i], image.strings_[i]);
+    }
+    ids[i] = node->id;
+    for (size_t f = 0; f < 3; ++f) {
+      const uint32_t count = target[f].next;
+      if (count == 0) continue;
+      Postings& postings = node->postings[f];
+      Spine* spine = postings.spine.load(std::memory_order_relaxed);
+      if (spine == nullptr) {
+        spine = count <= kInitialSpineCap
+                    ? new (guts->arena.Allocate(kFirstSpineBytes))
+                          Spine(kInitialSpineCap)
+                    : new (::operator new(sizeof(Spine) +
+                                          count * sizeof(uint32_t)))
+                          Spine(count);
+        postings.spine.store(spine, std::memory_order_seq_cst);
+      } else if (spine->used.load(std::memory_order_relaxed) + count >
+                 spine->cap) {
+        spine = GrowSpine(
+            postings,
+            std::max(spine->used.load(std::memory_order_relaxed) + count,
+                     kInitialSpineCap + 1),
+            *guts);
+      }
+      target[f] = {spine, spine->used.load(std::memory_order_relaxed)};
+      postings.live.store(count, std::memory_order_relaxed);
+      distinct[f]->fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  // The records in the image's order, each posted as it goes; nothing is
+  // visible before the scope publishes the epoch.
+  const uint64_t base = guts->size.load(std::memory_order_relaxed);
+  for (size_t k = 0; k < statements.size(); ++k) {
+    const uint64_t slot = base + k;
+    std::atomic<Chunk*>& chunk_ptr = guts->chunks[slot / kChunkSize];
+    Chunk* chunk = chunk_ptr.load(std::memory_order_relaxed);
+    if (chunk == nullptr) {
+      chunk = new Chunk();
+      chunk_ptr.store(chunk, std::memory_order_seq_cst);
+    }
+    const ImageStatement& st = statements[k];
+    Record& rec = chunk->records[slot % kChunkSize];
+    rec.keys = {ids[st.subject], ids[st.property], ids[st.object]};
+    rec.kind = st.kind;
+    rec.triple = Triple{std::string(image.strings_[st.subject]),
+                        std::string(image.strings_[st.property]),
+                        Object{st.kind, std::string(image.strings_[st.object])}};
+    rec.birth.store(ws.epoch(), std::memory_order_relaxed);
+    rec.death.store(EpochManager::kNeverDies, std::memory_order_relaxed);
+    Target* by_field[3] = {&targets[3 * st.subject + kSubjectField],
+                           &targets[3 * st.property + kPropertyField],
+                           &targets[3 * st.object + kObjectField]};
+    for (Target* target : by_field) {
+      target->spine->slots()[target->next++] = static_cast<uint32_t>(slot);
+    }
+  }
+  guts->size.store(base + statements.size(), std::memory_order_seq_cst);
+  for (const Target& target : targets) {
+    if (target.spine != nullptr) {
+      target.spine->used.store(target.next, std::memory_order_seq_cst);
+    }
+  }
+  live_count_.store(statements.size(), std::memory_order_relaxed);
+  SLIM_OBS_COUNT_N("trim.add.ok", statements.size());
+  ws.MarkDirty();
 }
 
 // ---------------------------------------------------------------------------
@@ -851,14 +973,196 @@ void TripleStore::ForEach(const std::function<void(const Triple&)>& fn) const {
   EndRead(pin);
 }
 
+void TripleStore::ExportImage(
+    const std::function<void(const std::vector<std::string_view>&,
+                             const std::vector<ImageStatement>&)>& fn) const {
+  KeyView view(*this);
+  std::vector<std::string_view> strings;
+  std::vector<ImageStatement> statements;
+  if (const Guts* guts = view.guts_) {
+    // Keys are numbered densely in first use; a key no live record uses
+    // gets no number.
+    std::vector<KeyId> renumber(guts->key_count.load(std::memory_order_seq_cst),
+                                kAnyKey);
+    auto number = [&](KeyId id) {
+      KeyId& out = renumber[id];
+      if (out == kAnyKey) {
+        out = static_cast<KeyId>(strings.size());
+        strings.push_back(NodeOf(*guts, id)->key());
+      }
+      return out;
+    };
+    statements.reserve(size());
+    const uint64_t n = guts->size.load(std::memory_order_seq_cst);
+    for (uint64_t slot = 0; slot < n; ++slot) {
+      const Record* rec = RecordAt(*guts, static_cast<uint32_t>(slot));
+      if (!Visible(*rec, view.pin_.snapshot)) continue;
+      ImageStatement st;
+      st.subject = number(rec->keys[kSubjectField]);
+      st.property = number(rec->keys[kPropertyField]);
+      st.object = number(rec->keys[kObjectField]);
+      st.kind = rec->kind;
+      statements.push_back(st);
+    }
+  }
+  fn(strings, statements);
+}
+
+// ---------------------------------------------------------------------------
+// Images
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Open-addressing tables stay at most half full.
+size_t SlotsFor(size_t entries) {
+  size_t slots = 1024;
+  while (slots < 2 * entries) slots *= 2;
+  return slots;
+}
+
+}  // namespace
+
+void TripleStore::Image::Reserve(size_t strings, size_t statements) {
+  strings_.reserve(strings_.size() + strings);
+  hashes_.reserve(hashes_.size() + strings);
+  statements_.reserve(statements_.size() + statements);
+  Rehash(strings_.size() + strings, statements_.size() + statements);
+}
+
+void TripleStore::Image::Rehash(size_t strings, size_t statements) {
+  if (2 * strings > string_slots_.size()) {
+    string_slots_.assign(SlotsFor(strings), 0);
+    const size_t mask = string_slots_.size() - 1;
+    for (uint32_t id = 0; id < strings_.size(); ++id) {
+      size_t at = hashes_[id] & mask;
+      while (string_slots_[at] != 0) at = (at + 1) & mask;
+      string_slots_[at] = id + 1;
+    }
+  }
+  if (2 * statements > statement_slots_.size()) {
+    statement_slots_.assign(SlotsFor(statements), 0);
+    for (uint32_t pos = 0; pos < statements_.size(); ++pos) {
+      const size_t mask = statement_slots_.size() - 1;
+      size_t at = StatementHash(statements_[pos]) & mask;
+      while (statement_slots_[at] != 0) at = (at + 1) & mask;
+      statement_slots_[at] = pos + 1;
+    }
+  }
+}
+
+std::string_view TripleStore::Image::Hold(std::string bytes) {
+  held_ = std::move(bytes);
+  return held_;
+}
+
+uint32_t& TripleStore::Image::StringSlot(std::string_view text,
+                                         uint32_t hash) {
+  const size_t mask = string_slots_.size() - 1;
+  for (size_t at = hash & mask;; at = (at + 1) & mask) {
+    uint32_t& slot = string_slots_[at];
+    if (slot == 0 || (hashes_[slot - 1] == hash && strings_[slot - 1] == text)) {
+      return slot;
+    }
+  }
+}
+
+bool TripleStore::Image::AddString(std::string_view text) {
+  Rehash(strings_.size() + 1, 0);
+  const uint32_t hash = KeyHash(text);
+  uint32_t& slot = StringSlot(text, hash);
+  if (slot != 0) return false;
+  slot = static_cast<uint32_t>(strings_.size() + 1);
+  strings_.push_back(text);
+  hashes_.push_back(hash);
+  return true;
+}
+
+TripleStore::KeyId TripleStore::Image::Intern(std::string_view text) {
+  Rehash(strings_.size() + 1, 0);
+  const uint32_t hash = KeyHash(text);
+  uint32_t& slot = StringSlot(text, hash);
+  if (slot == 0) {
+    slot = static_cast<uint32_t>(strings_.size() + 1);
+    strings_.push_back(copies_.emplace_back(text));
+    hashes_.push_back(hash);
+  }
+  return slot - 1;
+}
+
+Status TripleStore::Image::AddStatement(const ImageStatement& statement) {
+  const size_t strings = strings_.size();
+  if (statement.subject >= strings || statement.property >= strings ||
+      statement.object >= strings) {
+    return Status::ParseError("statement names a string past the " +
+                              std::to_string(strings) + " of the image");
+  }
+  if (strings_[statement.subject].empty() ||
+      strings_[statement.property].empty()) {
+    return Status::InvalidArgument("triple subject/property must be non-empty");
+  }
+  if (statements_.size() >= kChunkSize * kMaxChunks) {
+    return Status::OutOfRange("more statements than a triple store holds");
+  }
+  Rehash(0, statements_.size() + 1);
+  const size_t mask = statement_slots_.size() - 1;
+  for (size_t at = StatementHash(statement) & mask;; at = (at + 1) & mask) {
+    uint32_t& slot = statement_slots_[at];
+    if (slot == 0) {
+      slot = static_cast<uint32_t>(statements_.size() + 1);
+      statements_.push_back(statement);
+      return Status::OK();
+    }
+    const ImageStatement& other = statements_[slot - 1];
+    if (other.subject == statement.subject &&
+        other.property == statement.property &&
+        other.object == statement.object && other.kind == statement.kind) {
+      return Status::AlreadyExists(
+          "duplicate statement " +
+          TripleToString(Triple{std::string(strings_[statement.subject]),
+                                std::string(strings_[statement.property]),
+                                Object{statement.kind,
+                                       std::string(strings_[statement.object])}}));
+    }
+  }
+}
+
 size_t TripleStore::ApproximateBytes() const {
-  size_t bytes = 0;
-  ForEach([&bytes](const Triple& t) {
-    bytes += sizeof(Triple);
-    bytes += t.subject.capacity() + t.property.capacity() +
-             t.object.text.capacity();
-    bytes += 3 * sizeof(uint32_t);  // index postings
-  });
+  KeyView view(*this);
+  const Guts* guts = view.guts_;
+  if (guts == nullptr) return 0;
+  // The fixed tables, and the log's chunks: whole records, dead ones too.
+  size_t bytes = sizeof(Guts);
+  const uint64_t n = guts->size.load(std::memory_order_seq_cst);
+  bytes += (n + kChunkSize - 1) / kChunkSize * sizeof(Chunk);
+  // The heap text of the records this pin sees. A dead record keeps its
+  // strings until reclamation clears them, which may run during this walk,
+  // so those are left out.
+  auto text = [](const std::string& s) {
+    return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
+  };
+  for (uint64_t slot = 0; slot < n; ++slot) {
+    const Record* rec = RecordAt(*guts, static_cast<uint32_t>(slot));
+    if (!Visible(*rec, view.pin_.snapshot)) continue;
+    bytes += text(rec->triple.subject) + text(rec->triple.property) +
+             text(rec->triple.object.text);
+  }
+  // The key table: nodes and spines (first spines in the arena, grown ones
+  // on the heap), the id-table chunks and the hash index.
+  const KeyId keys = guts->key_count.load(std::memory_order_seq_cst);
+  for (KeyId id = 0; id < keys; ++id) {
+    const KeyNode* node = NodeOf(*guts, id);
+    bytes += (sizeof(KeyNode) + node->key_size + 7) & ~size_t{7};
+    for (const Postings& postings : node->postings) {
+      const Spine* spine = postings.spine.load(std::memory_order_seq_cst);
+      if (spine != nullptr) bytes += sizeof(Spine) + spine->cap * sizeof(uint32_t);
+    }
+  }
+  bytes += (keys + kKeyChunkSize - 1) / kKeyChunkSize * sizeof(KeyChunk);
+  if (const KeyIndex* index = guts->index.load(std::memory_order_seq_cst)) {
+    bytes += sizeof(KeyIndex) + index->heads.size() * sizeof(index->heads[0]) +
+             index->links.size() * sizeof(index->links[0]);
+  }
   return bytes;
 }
 

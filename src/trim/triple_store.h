@@ -18,7 +18,8 @@
 /// rows by integer compares.
 ///
 /// Concurrency contract (DESIGN.md §10 is the full specification):
-/// *mutations* (Add/Remove/RemoveMatching/SetOne/ApplyBatch/Clear)
+/// *mutations* (Add/Remove/RemoveMatching/SetOne/ApplyBatch/Clear/
+/// InstallImage)
 /// serialize on an internal `util::InstrumentedMutex` (lock site
 /// `trim.store.write`), each committing one **epoch**: every record
 /// carries the epoch it was born and the epoch it died, and the whole
@@ -36,6 +37,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -143,17 +145,12 @@ class TripleStore {
 
   /// \brief One mutation inside ApplyBatch.
   struct WriteOp {
-    /// kClear removes every triple live when it runs, as Clear() does.
-    enum class Kind { kAdd, kRemove, kClear };
+    enum class Kind { kAdd, kRemove };
     Kind kind = Kind::kAdd;
     Triple triple;
-    bool allow_duplicates = false;  ///< Only meaningful for kAdd.
 
-    static WriteOp AddOp(Triple t, bool allow_duplicates = false) {
-      return {Kind::kAdd, std::move(t), allow_duplicates};
-    }
+    static WriteOp AddOp(Triple t) { return {Kind::kAdd, std::move(t)}; }
     static WriteOp RemoveOp(Triple t) { return {Kind::kRemove, std::move(t)}; }
-    static WriteOp ClearOp() { return {Kind::kClear, Triple{}}; }
   };
 
   /// \brief Outcome of ApplyBatch: the epoch the batch committed at and a
@@ -197,6 +194,75 @@ class TripleStore {
   };
 
   class KeyView;  // below
+  /// @}
+
+  /// \name Whole-store images (pad files, trim/persistence.h)
+  /// @{
+  /// \brief One statement of an image: the ids of its three strings in
+  /// the image's string table, and its object's kind.
+  struct ImageStatement {
+    KeyId subject = 0;
+    KeyId property = 0;
+    KeyId object = 0;
+    ObjectKind kind = ObjectKind::kLiteral;
+  };
+  /// \brief A whole store as pad files hold it: a table of distinct strings,
+  /// then one ImageStatement per statement. Loads decode a file into an
+  /// Image (trim/persistence.h) and hand it to InstallImage. Building one
+  /// checks it: its strings stay distinct, and AddStatement rejects an id
+  /// past the table, an empty subject or property and a repeated statement,
+  /// so installing needs no further probe. Not movable: its strings may view
+  /// bytes it holds.
+  class Image {
+   public:
+    Image() = default;
+    Image(const Image&) = delete;
+    Image& operator=(const Image&) = delete;
+
+    /// Makes room for `strings` more strings and `statements` more
+    /// statements.
+    void Reserve(size_t strings, size_t statements);
+    /// Keeps `bytes` for the image's lifetime and returns a view of them for
+    /// AddString to cut strings from. Call it at most once.
+    std::string_view Hold(std::string bytes);
+    /// Appends `text`, which must outlive the image, as the next string;
+    /// false, adding nothing, when an equal string is already in.
+    bool AddString(std::string_view text);
+    /// The id of `text`, copied in as the next string when it is new.
+    KeyId Intern(std::string_view text);
+    /// Appends a statement. ParseError for an id past the strings, then
+    /// Add's checks with Add's messages: InvalidArgument for an empty
+    /// subject or property, AlreadyExists for a repeat. OutOfRange past the
+    /// statements a store's log can hold.
+    Status AddStatement(const ImageStatement& statement);
+
+    const std::vector<std::string_view>& strings() const { return strings_; }
+
+   private:
+    friend class TripleStore;
+    /// The slot of `string_slots_` that holds `text`'s id + 1, or the empty
+    /// slot where it would go.
+    uint32_t& StringSlot(std::string_view text, uint32_t hash);
+    /// Regrows the open-addressing tables, when needed, to hold `strings`
+    /// and `statements`.
+    void Rehash(size_t strings, size_t statements);
+    static uint32_t StatementHash(const ImageStatement& st) {
+      return static_cast<uint32_t>(
+          Fmix64(((uint64_t{st.subject} << 32) | st.property) +
+                 Fmix64((uint64_t{st.object} << 1) |
+                        (st.kind == ObjectKind::kResource ? 1 : 0))));
+    }
+
+    std::string held_;
+    std::deque<std::string> copies_;  ///< Interned strings; never relocated.
+    std::vector<std::string_view> strings_;
+    std::vector<uint32_t> hashes_;  ///< KeyHash of each string.
+    std::vector<ImageStatement> statements_;
+    /// Open addressing, 0 for an empty slot: string id + 1 by KeyHash, and
+    /// statement position + 1 by a mix of the statement's ids.
+    std::vector<uint32_t> string_slots_;
+    std::vector<uint32_t> statement_slots_;
+  };
   /// @}
 
   TripleStore() = default;
@@ -290,8 +356,30 @@ class TripleStore {
   /// Visits every live triple in insertion order.
   void ForEach(const std::function<void(const Triple&)>& fn) const;
 
-  /// Rough heap footprint of stored triple data in bytes (for the space
-  /// trade-off experiment, paper §6).
+  /// Calls `fn(strings, statements)` once, under one pin, with the live
+  /// statements in ForEach order as pad files hold them: `strings` has
+  /// each distinct string they use once, numbered by first use (views of
+  /// the key table, valid during the call), and `statements` one id tuple
+  /// per statement. No string is hashed.
+  void ExportImage(
+      const std::function<void(const std::vector<std::string_view>& strings,
+                               const std::vector<ImageStatement>& statements)>&
+          fn) const;
+
+  /// Replaces the contents with `image`'s statements, in its order, under
+  /// one writer lock and as one epoch: the live triples die, each string
+  /// the statements use is found or created in the key table once, and the
+  /// statements are appended and posted under those ids. A concurrent
+  /// reader sees the old contents or the new ones. OutOfRange, changing
+  /// nothing, when the log has no room for the image.
+  Status InstallImage(const Image& image);
+
+  /// Heap footprint in bytes (for the space trade-off experiment, paper
+  /// §6): the fixed tables, the log's chunks with every record in them,
+  /// the heap text of the live records, and the key table's nodes, spines,
+  /// id chunks and hash index. Left out: the text dead records hold until
+  /// reclamation, structures waiting in the epoch limbo, the arena's
+  /// unused block tails and the allocator's own overhead.
   size_t ApproximateBytes() const;
 
   /// \name Concurrency introspection
@@ -458,6 +546,8 @@ class TripleStore {
   size_t RemoveMatchingLocked(const TriplePattern& pattern, WriterScope& ws)
       REQUIRES(write_mu_);
   void ClearLocked(WriterScope& ws) REQUIRES(write_mu_);
+  /// InstallImage's appends, after ClearLocked, for a non-empty image.
+  void InstallLocked(const Image& image, WriterScope& ws) REQUIRES(write_mu_);
   /// Stamps a live record dead at the batch's epoch and drops it from its
   /// keys' live counts.
   void Kill(Record* rec, const Guts& guts, WriterScope& ws)
@@ -572,6 +662,10 @@ class TripleStore {
   bool Post(Guts& guts, KeyNode* node, Field field, uint32_t slot)
       REQUIRES(write_mu_);
   void AppendPosting(Postings& postings, uint32_t slot, const Guts& guts)
+      REQUIRES(write_mu_);
+  /// Replaces `postings`' spine by a copy with `cap` slots that leaves out
+  /// the entries no reader can see any more; the old spine is retired.
+  Spine* GrowSpine(Postings& postings, uint32_t cap, const Guts& guts)
       REQUIRES(write_mu_);
 
   /// Serializes mutations only; see the concurrency contract above.

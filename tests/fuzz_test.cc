@@ -7,7 +7,6 @@
 #include "doc/pdf/pdf_document.h"
 #include "doc/xml/parser.h"
 #include "doc/xml/writer.h"
-#include "trim/interned_store.h"
 #include "trim/persistence.h"
 #include "util/rng.h"
 
@@ -324,15 +323,43 @@ TEST(TruncationTest, TrimXml) {
   });
 }
 
-TEST(TruncationTest, InternedBinary) {
-  trim::InternedTripleStore store;
-  for (int i = 0; i < 25; ++i) {
-    (void)store.AddLiteral("s" + std::to_string(i), "p",
-                           "value" + std::to_string(i));
+// Decodes `bytes` as a store file and installs it, as LoadStore does.
+Status LoadStoreBytes(std::string bytes, trim::TripleStore* store) {
+  trim::TripleStore::Image image;
+  SLIM_RETURN_NOT_OK(trim::DecodeStore(std::move(bytes), &image));
+  return store->InstallImage(image);
+}
+
+// A store that a failed load must leave as it was: its XML and its epoch.
+struct StoreBefore {
+  explicit StoreBefore(const trim::TripleStore& store)
+      : xml(trim::StoreToXml(store)), epoch(store.GetEpochStats().current) {}
+  bool Same(const trim::TripleStore& store) const {
+    return store.GetEpochStats().current == epoch &&
+           trim::StoreToXml(store) == xml;
   }
-  TruncationSweep(store.SerializeBinary(), [](const std::string& data) {
-    return trim::InternedTripleStore::DeserializeBinary(data).ok();
-  });
+  std::string xml;
+  uint64_t epoch;
+};
+
+// Every proper prefix of a binary store file is an error that leaves the
+// store unchanged; the whole file loads.
+TEST(TruncationTest, TrimBinary) {
+  trim::TripleStore source;
+  for (int i = 0; i < 25; ++i) {
+    (void)source.AddLiteral("s" + std::to_string(i), "p",
+                            "value" + std::to_string(i));
+  }
+  const std::string data = trim::StoreToBinary(source);
+  trim::TripleStore store;
+  ASSERT_TRUE(store.AddLiteral("old", "p", "kept").ok());
+  const StoreBefore before(store);
+  for (size_t cut = 0; cut < data.size(); ++cut) {
+    EXPECT_FALSE(LoadStoreBytes(data.substr(0, cut), &store).ok()) << cut;
+  }
+  EXPECT_TRUE(before.Same(store));
+  ASSERT_TRUE(LoadStoreBytes(data, &store).ok());
+  EXPECT_EQ(trim::StoreToXml(store), trim::StoreToXml(source));
 }
 
 TEST(TruncationTest, XmlDocument) {
@@ -347,31 +374,35 @@ TEST(TruncationTest, XmlDocument) {
   });
 }
 
-// Bit-flip corruption on the binary store: must error or load, not crash.
+// Corruption of a binary store file: every single-byte change, to any of
+// the 255 other values, is an error that leaves the store unchanged.
 class BinaryCorruptionFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BinaryCorruptionFuzz, FlippedBytesFailCleanly) {
-  trim::InternedTripleStore store;
-  for (int i = 0; i < 10; ++i) {
-    (void)store.AddLiteral("s" + std::to_string(i), "prop",
-                           "v" + std::to_string(i));
-  }
-  std::string data = store.SerializeBinary();
   Rng rng(GetParam());
-  for (int flips = 0; flips < 20; ++flips) {
+  trim::TripleStore source;
+  for (int i = 0; i < 10; ++i) {
+    const std::string subject = "s" + std::to_string(rng.Below(6));
+    (void)source.Add({subject, RandomText(&rng, 3) + "p",
+                      rng.Chance(0.5) ? trim::Object::Literal(RandomText(&rng, 6))
+                                      : trim::Object::Resource(subject)});
+  }
+  const std::string data = trim::StoreToBinary(source);
+  trim::TripleStore store;
+  ASSERT_TRUE(store.AddLiteral("old", "p", "kept").ok());
+  const StoreBefore before(store);
+  size_t accepted = 0;
+  for (size_t pos = 0; pos < data.size(); ++pos) {
     std::string corrupted = data;
-    size_t pos = rng.Below(corrupted.size());
-    corrupted[pos] = static_cast<char>(corrupted[pos] ^
-                                       (1 << rng.Below(8)));
-    auto result = trim::InternedTripleStore::DeserializeBinary(corrupted);
-    if (result.ok()) {
-      // A tolerated flip (e.g. inside a string payload) must still yield a
-      // consistent store.
-      result->ForEach([](const trim::Triple& t) {
-        EXPECT_FALSE(t.subject.empty());
-      });
+    for (int delta = 1; delta < 256; ++delta) {
+      corrupted[pos] = static_cast<char>(data[pos] ^ delta);
+      if (LoadStoreBytes(corrupted, &store).ok()) ++accepted;
     }
   }
+  EXPECT_EQ(accepted, 0u);
+  EXPECT_TRUE(before.Same(store));
+  ASSERT_TRUE(LoadStoreBytes(data, &store).ok());
+  EXPECT_EQ(trim::StoreToXml(store), trim::StoreToXml(source));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BinaryCorruptionFuzz,

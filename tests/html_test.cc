@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
+
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "doc/html/html.h"
 #include "doc/xml/path.h"
+#include "doc/xml/reader.h"
 
 namespace slim::doc::html {
 namespace {
@@ -94,6 +100,68 @@ TEST(HtmlParseTest, EntitiesTolerant) {
 TEST(HtmlParseTest, CommentsAndDoctypeSkipped) {
   auto doc = ParseHtml("<!DOCTYPE html><!-- c --><p>x</p>");
   EXPECT_EQ(FindByTag(doc.get(), "p").size(), 1u);
+}
+
+// A small thread stack: 256 KB, or 1 MB under a sanitizer, whose
+// instrumentation makes every frame several times larger.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr size_t kSmallStackBytes = 1024 * 1024;
+#else
+constexpr size_t kSmallStackBytes = 256 * 1024;
+#endif
+
+// Runs `fn` on a thread with a kSmallStackBytes stack.
+void OnSmallStack(const std::function<void()>& fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, kSmallStackBytes), 0);
+  pthread_t thread;
+  auto run = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, run,
+                           const_cast<std::function<void()>*>(&fn)),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+// The deepest element below `root`, counting `root` as depth 1; walked
+// with an explicit stack.
+size_t MaxDepth(const xml::Element* root) {
+  size_t deepest = 0;
+  std::vector<std::pair<const xml::Element*, size_t>> open = {{root, 1}};
+  while (!open.empty()) {
+    auto [element, depth] = open.back();
+    open.pop_back();
+    deepest = std::max(deepest, depth);
+    for (const xml::Element* child : element->ChildElements()) {
+      open.emplace_back(child, depth + 1);
+    }
+  }
+  return deepest;
+}
+
+// Hostile base documents: 50,000 nested <div>s parse into a tree no deeper
+// than the XML parser accepts, so the recursive walks and the document's
+// destructor stay within a small thread stack.
+TEST(HtmlParseTest, DeepNestingIsBoundedOnASmallStack) {
+  constexpr int kLevels = 50000;
+  std::string html;
+  for (int i = 0; i < kLevels; ++i) {
+    html += "<div id=\"d" + std::to_string(i) + "\">";
+  }
+  html += "deep text";
+  for (int i = 0; i < kLevels; ++i) html += "</div>";
+  OnSmallStack([&html] {
+    std::unique_ptr<xml::Document> doc = ParseHtml(html);
+    EXPECT_LE(MaxDepth(doc->root()), xml::kMaxXmlDepth);
+    EXPECT_EQ(FindByTag(doc.get(), "div").size(), size_t{kLevels});
+    EXPECT_EQ(VisibleText(doc->root()), "deep text");
+    EXPECT_NE(FindById(doc.get(), "d49999"), nullptr);
+    doc.reset();
+  });
 }
 
 TEST(HtmlFindTest, ById) {

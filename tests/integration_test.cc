@@ -208,6 +208,69 @@ TEST_F(SessionTest, LoadPadWithTruncatedPadFileChangesNothing) {
   std::remove((path + ".marks").c_str());
 }
 
+// A pad file with any one byte changed fails its checks before the marks
+// are adopted: the marks and the triples stay as they were.
+TEST_F(SessionTest, LoadPadWithCorruptedPadFileChangesNothing) {
+  ASSERT_TRUE(session_.BuildRoundsPad().ok());
+  std::string path = ::testing::TempDir() + "/corrupted.pad";
+  ASSERT_TRUE(session_.app().SavePad(path).ok());
+  Result<std::string> saved = ReadFile(path);
+  ASSERT_TRUE(saved.ok());
+
+  Session doctor2;
+  IcuOptions options;
+  options.patients = 3;
+  options.seed = 2026;
+  ASSERT_TRUE(doctor2.LoadIcuWorkload(GenerateIcuWorkload(options)).ok());
+  ASSERT_TRUE(doctor2.app().NewPad("Night shift").ok());
+  const size_t marks_before = doctor2.marks().size();
+  const std::string triples_before = trim::StoreToXml(doctor2.app().store());
+  ASSERT_NE(marks_before, session_.marks().size());
+
+  // Positions in the magic, the version, the checksum, the string table
+  // and the records.
+  for (size_t pos : {size_t{0}, size_t{9}, size_t{15}, size_t{24},
+                     saved->size() / 2, saved->size() - 1}) {
+    std::string corrupted = *saved;
+    corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x20);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << corrupted;
+    }
+    EXPECT_FALSE(doctor2.app().LoadPad(path).ok()) << pos;
+    EXPECT_EQ(doctor2.marks().size(), marks_before) << pos;
+    EXPECT_EQ(trim::StoreToXml(doctor2.app().store()), triples_before) << pos;
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".marks").c_str());
+}
+
+// Pad files saved as XML, before pads were binary, still load.
+TEST_F(SessionTest, LoadPadReadsXmlPadFiles) {
+  ASSERT_TRUE(session_.BuildRoundsPad().ok());
+  std::string path = ::testing::TempDir() + "/xml_pad.xml";
+  ASSERT_TRUE(session_.app().SavePad(path).ok());
+  const std::string xml = trim::StoreToXml(session_.app().store());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << xml;
+  }
+
+  Session doctor2;
+  IcuOptions options;
+  options.patients = 3;
+  options.seed = 2026;
+  ASSERT_TRUE(doctor2.LoadIcuWorkload(GenerateIcuWorkload(options)).ok());
+  ASSERT_TRUE(doctor2.app().LoadPad(path).ok());
+  EXPECT_EQ(trim::StoreToXml(doctor2.app().store()), xml);
+  EXPECT_EQ(doctor2.app().pad()->pad_name(), "Rounds");
+  auto opened = doctor2.OpenAllScraps();
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  EXPECT_GT(*opened, 0u);
+  std::remove(path.c_str());
+  std::remove((path + ".marks").c_str());
+}
+
 TEST_F(SessionTest, TemplateStampsWorksheetRow) {
   ASSERT_TRUE(session_.app().NewPad("Rounds").ok());
   std::string root = *session_.app().RootBundle();

@@ -691,11 +691,13 @@ TEST(StoreConcurrency, ReadersResolveKeysWhileWriterAddsNewOnes) {
   std::atomic<int> published{0};
   std::atomic<bool> done{false};
   std::atomic<uint64_t> probes{0};
+  std::atomic<int> readers_probed{0};
   std::atomic<uint64_t> bad{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       std::mt19937 rng(static_cast<unsigned>(r));
+      bool probed = false;
       while (!done.load(std::memory_order_acquire)) {
         const int n = published.load(std::memory_order_acquire);
         if (n == 0) continue;
@@ -725,12 +727,22 @@ TEST(StoreConcurrency, ReadersResolveKeysWhileWriterAddsNewOnes) {
           return true;
         });
         probes.fetch_add(1, std::memory_order_relaxed);
+        if (!probed) {
+          probed = true;
+          readers_probed.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
   for (int i = 0; i < kAdds; ++i) {
     EXPECT_TRUE(store.Add(statement(i)).ok());
     published.store(i + 1, std::memory_order_release);
+    // The last add waits until every reader has probed once, so the
+    // readers overlap the writer however the threads are scheduled.
+    while (i + 1 == kAdds &&
+           readers_probed.load(std::memory_order_acquire) < kReaders) {
+      std::this_thread::yield();
+    }
   }
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
@@ -843,14 +855,17 @@ TEST(StoreConcurrency, QueryPinnedAcrossCompactionReturnsItsSnapshotRows) {
   EXPECT_EQ(rows->size(), 1000u);
 }
 
-// StoreFromXml replaces the contents in one ApplyBatch under one writer
-// lock while a second writer keeps adding and removing a statement of the
-// file and adding statements of its own. Every load of a good text
-// succeeds and leaves exactly the file's statements plus the second
-// writer's: the toggled one perhaps, and the own statements it committed
-// after the load, which are a contiguous run. Every load of a truncated
-// text fails and changes nothing of the file's statements.
-TEST(StoreConcurrency, LoadsReplaceContentsWhileAWriterTogglesAFileStatement) {
+// A load replaces the contents in one InstallImage under one writer lock
+// while a second writer keeps adding and removing a statement of the file
+// and adding statements of its own. Every load of a good file succeeds and
+// leaves exactly the file's statements plus the second writer's: the
+// toggled one perhaps, and the own statements it committed after the load,
+// which are a contiguous run. Every load of a truncated file fails and
+// changes nothing of the file's statements.
+using Encode = std::string (*)(const TripleStore&);
+using Load = Status (*)(std::string_view, TripleStore*);
+
+void LoadUnderATogglingWriter(Encode encode, Load load) {
   constexpr int kRounds = 60;
   const Triple toggled = Lit("bundle", "bundleName", "Electrolyte");
   auto file_text = [&](const std::string& tag) {
@@ -861,7 +876,7 @@ TEST(StoreConcurrency, LoadsReplaceContentsWhileAWriterTogglesAFileStatement) {
           file.AddResource("bundle", "bundleContent", tag + std::to_string(i))
               .ok());
     }
-    return StoreToXml(file);
+    return encode(file);
   };
   const std::string texts[2] = {file_text("a"), file_text("b")};
   auto own = [](uint64_t i) {
@@ -881,7 +896,7 @@ TEST(StoreConcurrency, LoadsReplaceContentsWhileAWriterTogglesAFileStatement) {
   // writer's own statements, read under one snapshot.
   auto check = [&](const std::string& text, const std::string& what) {
     TripleStore expected;
-    EXPECT_TRUE(StoreFromXml(text, &expected).ok());
+    EXPECT_TRUE(load(text, &expected).ok());
     EXPECT_TRUE(expected.Remove(toggled).ok());
     std::multiset<std::string> file_rows = Render(expected.Select({}));
     TripleStore::Snapshot snap(store);
@@ -903,15 +918,29 @@ TEST(StoreConcurrency, LoadsReplaceContentsWhileAWriterTogglesAFileStatement) {
   };
   for (int round = 0; round < kRounds; ++round) {
     const std::string& text = texts[round % 2];
-    Status st = StoreFromXml(text, &store);
+    Status st = load(text, &store);
     EXPECT_TRUE(st.ok()) << st;
     check(text, "after load " + std::to_string(round));
-    Status bad = StoreFromXml(text.substr(0, text.size() / 2), &store);
+    Status bad = load(text.substr(0, text.size() / 2), &store);
     EXPECT_FALSE(bad.ok());
     check(text, "after failed load " + std::to_string(round));
   }
   done.store(true, std::memory_order_release);
   writer.join();
+}
+
+TEST(StoreConcurrency, LoadsReplaceContentsWhileAWriterTogglesAFileStatement) {
+  LoadUnderATogglingWriter(StoreToXml, StoreFromXml);
+}
+
+TEST(StoreConcurrency,
+     BinaryLoadsReplaceContentsWhileAWriterTogglesAFileStatement) {
+  LoadUnderATogglingWriter(
+      StoreToBinary, [](std::string_view bytes, TripleStore* store) {
+        TripleStore::Image image;
+        SLIM_RETURN_NOT_OK(DecodeStore(std::string(bytes), &image));
+        return store->InstallImage(image);
+      });
 }
 
 }  // namespace

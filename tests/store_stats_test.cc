@@ -1,5 +1,5 @@
-// Tests for store introspection (trim/store_stats.h): ComputeStats over
-// both backends, the predicate-cardinality histogram, the text/JSON
+// Tests for store introspection (trim/store_stats.h): ComputeStats, the
+// predicate-cardinality histogram, the text/JSON
 // renderings, and PublishStoreStats refreshing the slim.store.* gauge
 // family. Everything here is data-path math, so it must pass under both
 // SLIM_ENABLE_OBS settings.
@@ -10,17 +10,15 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "trim/interned_store.h"
 #include "trim/store_stats.h"
 #include "trim/triple_store.h"
 
 namespace slim::trim {
 namespace {
 
-// Shared composition for both backends: subject "a" carries three triples,
-// predicate "p" has fanout 3, "q" fanout 1; objects are all distinct.
-template <typename Store>
-void Populate(Store* store) {
+// Subject "a" carries three triples, predicate "p" has fanout 3, "q"
+// fanout 1; objects are all distinct.
+void Populate(TripleStore* store) {
   ASSERT_TRUE(store->AddLiteral("a", "p", "x").ok());
   ASSERT_TRUE(store->AddLiteral("a", "p", "y").ok());
   ASSERT_TRUE(store->AddResource("a", "q", "b").ok());
@@ -88,33 +86,6 @@ TEST(StoreStatsTest, SequentialSubjectsSpreadOverBuckets) {
   EXPECT_NE(stats.ToJson().find("\"longest_chain\":"), std::string::npos);
 }
 
-TEST(StoreStatsTest, InternedBackendCounts) {
-  InternedTripleStore store;
-  Populate(&store);
-  ASSERT_TRUE(store.Remove({"a", "p", Object::Literal("y")}).ok());
-
-  StoreStats stats = ComputeStats(store);
-  EXPECT_EQ(stats.backend, "interned");
-  EXPECT_EQ(stats.live_triples, 3u);
-  EXPECT_EQ(stats.tombstoned, 1u);
-  EXPECT_EQ(stats.subject_keys, 2u);
-  EXPECT_EQ(stats.property_keys, 2u);
-  EXPECT_EQ(stats.object_keys, 3u);  // x, b, z live
-  // Columnar postings mirror the live row count per index.
-  EXPECT_EQ(stats.subject_postings, 3u);
-  EXPECT_EQ(stats.property_postings, 3u);
-  EXPECT_EQ(stats.object_postings, 3u);
-  // p -> 2 live (bucket 1), q -> 1 (bucket 0).
-  ASSERT_EQ(stats.predicate_cardinality.size(), 2u);
-  EXPECT_EQ(stats.predicate_cardinality[0], 1u);
-  EXPECT_EQ(stats.predicate_cardinality[1], 1u);
-  EXPECT_EQ(stats.predicate_max_fanout, 2u);
-  // Interning holds every distinct string ever seen: a, p, x, y, q, b, z.
-  EXPECT_EQ(stats.interned_strings, 7u);
-  EXPECT_GT(stats.interned_bytes, 0u);
-  EXPECT_EQ(stats.approximate_bytes, store.ApproximateBytes());
-}
-
 TEST(StoreStatsTest, TextAndJsonRenderings) {
   TripleStore store;
   Populate(&store);
@@ -125,7 +96,6 @@ TEST(StoreStatsTest, TextAndJsonRenderings) {
   EXPECT_NE(text.find(": hash"), std::string::npos);
   EXPECT_NE(text.find("2 keys / 4 postings"), std::string::npos);
   EXPECT_NE(text.find("max 3"), std::string::npos);
-  // The interned-occupancy line only appears for the interned backend.
   EXPECT_EQ(text.find("interned strings"), std::string::npos);
 
   std::string json = stats.ToJson();
@@ -134,11 +104,6 @@ TEST(StoreStatsTest, TextAndJsonRenderings) {
   EXPECT_NE(json.find("\"predicate_max_fanout\":3"), std::string::npos);
   EXPECT_NE(json.find("\"predicate_cardinality\":[1,0,1]"),
             std::string::npos);
-
-  InternedTripleStore interned;
-  Populate(&interned);
-  std::string interned_text = ComputeStats(interned).ToText();
-  EXPECT_NE(interned_text.find("interned strings"), std::string::npos);
 }
 
 TEST(StoreStatsTest, PublishRefreshesGaugeFamily) {
