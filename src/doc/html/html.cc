@@ -380,18 +380,33 @@ std::vector<xml::Element*> FindByTag(xml::Document* doc,
 }
 
 namespace {
-void CollectVisibleText(const xml::Element* e, std::string* out) {
-  if (e->name() == "script" || e->name() == "style") return;
-  for (const auto& c : e->children()) {
+// Appends the text under `root` outside <script> and <style>, each piece
+// followed by a space, in document order; an explicit stack of (element,
+// next child) keeps any depth off the call stack.
+void CollectVisibleText(const xml::Element* root, std::string* out) {
+  auto hidden = [](const xml::Element* e) {
+    return e->name() == "script" || e->name() == "style";
+  };
+  if (hidden(root)) return;
+  std::vector<std::pair<const xml::Element*, size_t>> open = {{root, 0}};
+  while (!open.empty()) {
+    auto& [element, next] = open.back();
+    if (next == element->children().size()) {
+      open.pop_back();
+      continue;
+    }
+    const xml::Node* c = element->children()[next++].get();
     switch (c->kind()) {
       case xml::NodeKind::kText:
       case xml::NodeKind::kCData:
-        *out += static_cast<const xml::CharData*>(c.get())->text();
+        *out += static_cast<const xml::CharData*>(c)->text();
         *out += ' ';
         break;
-      case xml::NodeKind::kElement:
-        CollectVisibleText(static_cast<const xml::Element*>(c.get()), out);
+      case xml::NodeKind::kElement: {
+        const auto* child = static_cast<const xml::Element*>(c);
+        if (!hidden(child)) open.emplace_back(child, 0);
         break;
+      }
       default:
         break;
     }

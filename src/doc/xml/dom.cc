@@ -2,6 +2,21 @@
 
 namespace slim::doc::xml {
 
+Element::~Element() {
+  // Each element's children move to `pending` before it dies, so no
+  // destructor run from here has children of its own to free.
+  std::vector<std::unique_ptr<Node>> pending = std::move(children_);
+  while (!pending.empty()) {
+    std::unique_ptr<Node> node = std::move(pending.back());
+    pending.pop_back();
+    if (node->kind() == NodeKind::kElement) {
+      auto& children = static_cast<Element*>(node.get())->children_;
+      for (auto& c : children) pending.push_back(std::move(c));
+      children.clear();
+    }
+  }
+}
+
 const std::string* Element::FindAttribute(std::string_view name) const {
   for (const Attribute& a : attrs_) {
     if (a.name == name) return &a.value;
@@ -105,15 +120,23 @@ Element* Element::FirstChild(std::string_view name) const {
 }
 
 std::string Element::InnerText() const {
+  // Document order with an explicit stack of (element, next child).
   std::string out;
-  for (const auto& c : children_) {
+  std::vector<std::pair<const Element*, size_t>> open = {{this, 0}};
+  while (!open.empty()) {
+    auto& [element, next] = open.back();
+    if (next == element->children_.size()) {
+      open.pop_back();
+      continue;
+    }
+    const Node* c = element->children_[next++].get();
     switch (c->kind()) {
       case NodeKind::kText:
       case NodeKind::kCData:
-        out += static_cast<const CharData*>(c.get())->text();
+        out += static_cast<const CharData*>(c)->text();
         break;
       case NodeKind::kElement:
-        out += static_cast<const Element*>(c.get())->InnerText();
+        open.emplace_back(static_cast<const Element*>(c), 0);
         break;
       case NodeKind::kComment:
         break;
@@ -138,20 +161,10 @@ std::unique_ptr<Document> Document::Create(std::string root_name) {
   return doc;
 }
 
-namespace {
-size_t CountElements(const Element* e) {
-  size_t n = 1;
-  for (const auto& c : e->children()) {
-    if (c->kind() == NodeKind::kElement) {
-      n += CountElements(static_cast<const Element*>(c.get()));
-    }
-  }
-  return n;
-}
-}  // namespace
-
 size_t Document::ElementCount() const {
-  return root_ ? CountElements(root_.get()) : 0;
+  size_t n = 0;
+  if (root_) root_->Visit([&n](Element*) { ++n; });
+  return n;
 }
 
 }  // namespace slim::doc::xml

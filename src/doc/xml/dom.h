@@ -63,6 +63,9 @@ class Element : public Node {
  public:
   explicit Element(std::string name)
       : Node(NodeKind::kElement), name_(std::move(name)) {}
+  /// Frees the subtree with an explicit stack, so any depth fits the call
+  /// stack.
+  ~Element() override;
 
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
@@ -111,13 +114,19 @@ class Element : public Node {
   /// is the only one or has no parent).
   int OrdinalAmongSiblings() const;
 
-  /// Recursively visits this element and all descendant elements.
+  /// Visits this element and all descendant elements in document order,
+  /// with an explicit stack, so any depth fits the call stack.
   template <typename F>
   void Visit(F&& f) {
-    f(this);
-    for (auto& c : children_) {
-      if (c->kind() == NodeKind::kElement) {
-        static_cast<Element*>(c.get())->Visit(f);
+    std::vector<Element*> pending = {this};
+    while (!pending.empty()) {
+      Element* e = pending.back();
+      pending.pop_back();
+      f(e);
+      for (auto c = e->children_.rbegin(); c != e->children_.rend(); ++c) {
+        if ((*c)->kind() == NodeKind::kElement) {
+          pending.push_back(static_cast<Element*>(c->get()));
+        }
       }
     }
   }

@@ -211,12 +211,19 @@ std::string MarkManager::ToXml() const {
 }
 
 Status MarkManager::FromXml(std::string_view xml_text) {
-  // Read and check every mark before adopting any. `first_error` is the
-  // first structural error, unknown type, FromFields error or clashing id in
-  // document order; a syntax error anywhere still wins, so reading goes on
-  // to the end.
+  SLIM_ASSIGN_OR_RETURN(DecodedMarks marks, Decode(xml_text));
+  Adopt(std::move(marks));
+  return Status::OK();
+}
+
+Result<MarkManager::DecodedMarks> MarkManager::Decode(
+    std::string_view xml_text) const {
+  // Read and check every mark. `first_error` is the first structural
+  // error, unknown type, FromFields error or clashing id in document
+  // order; a syntax error anywhere still wins, so reading goes on to the
+  // end.
   xml::Reader reader(xml_text);
-  std::vector<std::unique_ptr<Mark>> loaded;
+  DecodedMarks loaded;
   std::unordered_set<std::string_view> loaded_ids;  // views of loaded ids
   Status first_error;
   std::optional<PendingMark> mark;
@@ -294,23 +301,37 @@ Status MarkManager::FromXml(std::string_view xml_text) {
     }
   }
   if (!first_error.ok()) return first_error;
-  for (std::unique_ptr<Mark>& m : loaded) {
+  return loaded;
+}
+
+void MarkManager::Adopt(DecodedMarks marks) {
+  for (std::unique_ptr<Mark>& m : marks) {
     const std::string& id = m->mark_id();
     ids_.ObserveExisting(id);
     marks_[id] = std::move(m);
   }
-  return Status::OK();
 }
 
 Status MarkManager::SaveToFile(const std::string& path) const {
   FileReplacer file(path);
-  WriteMarks(marks_, file.buffer(), [&file] { file.WriteIfFull(); });
+  WriteTo(&file);
   return file.Commit();
 }
 
+void MarkManager::WriteTo(FileReplacer* file) const {
+  WriteMarks(marks_, file->buffer(), [file] { file->WriteIfFull(); });
+}
+
 Status MarkManager::LoadFromFile(const std::string& path) {
+  SLIM_ASSIGN_OR_RETURN(DecodedMarks marks, DecodeFile(path));
+  Adopt(std::move(marks));
+  return Status::OK();
+}
+
+Result<MarkManager::DecodedMarks> MarkManager::DecodeFile(
+    const std::string& path) const {
   SLIM_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-  return FromXml(text);
+  return Decode(text);
 }
 
 }  // namespace slim::mark

@@ -22,6 +22,10 @@
 #include "util/id_generator.h"
 #include "util/result.h"
 
+namespace slim {
+class FileReplacer;
+}  // namespace slim
+
 namespace slim::mark {
 
 /// \brief Owns marks; routes module operations by mark type.
@@ -87,13 +91,29 @@ class MarkManager {
   /// Writes ToXml() crash-safely: to `<path>.tmp`, fsynced, then renamed
   /// over `path`. On failure the old file is untouched.
   Status SaveToFile(const std::string& path) const;
-  /// Reads a file and adds its marks as FromXml does.
+  /// Appends ToXml() to `file` in chunks, leaving the commit to the caller
+  /// (a save that replaces several files as one).
+  void WriteTo(FileReplacer* file) const;
+  /// Reads a file and adds its marks as FromXml does: DecodeFile, then
+  /// Adopt.
   Status LoadFromFile(const std::string& path);
+
+  /// Marks read and checked but held by no manager yet.
+  using DecodedMarks = std::vector<std::unique_ptr<Mark>>;
+  /// The first half of LoadFromFile: reads the file and checks every mark
+  /// as FromXml does, adopting none. IoError for a file it cannot read.
+  Result<DecodedMarks> DecodeFile(const std::string& path) const;
+  /// The second half: holds `marks`, which DecodeFile returned. Call it
+  /// before anything else changes the manager, so their ids are still
+  /// free; then it cannot fail.
+  void Adopt(DecodedMarks marks);
   /// @}
 
  private:
   /// AdoptMark's checks: a non-empty id that is not held yet.
   Status CheckAdoptable(const Mark& mark) const;
+  /// FromXml's reading and checking, adopting none.
+  Result<DecodedMarks> Decode(std::string_view xml_text) const;
   Result<MarkModule*> FindModule(std::string_view mark_type,
                                  std::string_view resolver) const;
 

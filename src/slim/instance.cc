@@ -48,8 +48,7 @@ Status InstanceGraph::AddValue(const std::string& id,
                                const std::string& literal) {
   if (!Exists(id)) return Status::NotFound("no instance '" + id + "'");
   return store_->Add(
-      trim::Triple{id, property, trim::Object::Literal(literal)},
-      /*allow_duplicates=*/true);
+      trim::Triple{id, property, trim::Object::Literal(literal)});
 }
 
 Status InstanceGraph::SetValue(const std::string& id,

@@ -11,7 +11,10 @@
 /// schema can be induced afterwards (InduceSchema) and conformance checked
 /// then (conformance.h).
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "slim/schema.h"
@@ -47,7 +50,8 @@ class InstanceGraph {
 
   /// \name Properties.
   /// @{
-  /// Adds a literal-valued property (multi-valued allowed).
+  /// Adds a literal-valued property (multi-valued allowed). AlreadyExists
+  /// when the instance already holds this value for it.
   Status AddValue(const std::string& id, const std::string& property,
                   const std::string& literal);
   /// Replaces the literal value(s) of a property with one value.
@@ -75,6 +79,13 @@ class InstanceGraph {
 
   /// True iff the id has a type triple.
   bool Exists(const std::string& id) const;
+
+  /// The n of an instance id "inst:<n>"; nullopt for any other id.
+  std::optional<uint64_t> IdNumber(std::string_view id) const {
+    return ids_.NumberOf(id);
+  }
+  /// Makes Create mint ids past "inst:<n>" (after a load brings them in).
+  void ReserveIdsThrough(uint64_t n) { ids_.ReserveAtLeast(n); }
 
  private:
   trim::TripleStore* store_;

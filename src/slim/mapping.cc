@@ -84,8 +84,8 @@ Result<MappingStats> Mapping::Apply(const trim::TripleStore& source,
               return true;
             }
           }
-          Status add = target->Add(trim::Triple{id, out_prop, t.object},
-                                   /*allow_duplicates=*/true);
+          Status add = target->Add(trim::Triple{id, out_prop, t.object});
+          if (add.IsAlreadyExists()) return true;  // the target holds it
           if (!add.ok()) {
             failure = add;
             return false;

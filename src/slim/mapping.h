@@ -41,6 +41,8 @@ struct MappingStats {
   size_t instances_mapped = 0;
   size_t instances_copied = 0;   ///< Untyped-by-rule instances kept as-is.
   size_t instances_dropped = 0;  ///< Untyped-by-rule instances discarded.
+  /// Statements added to the target; one it already holds is skipped and
+  /// not counted.
   size_t triples_written = 0;
   size_t properties_dropped = 0;
 };

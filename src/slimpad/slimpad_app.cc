@@ -1,6 +1,7 @@
 #include "slimpad/slimpad_app.h"
 
 #include "trim/persistence.h"
+#include "util/file.h"
 
 namespace slim::pad {
 
@@ -186,24 +187,35 @@ Result<std::vector<store::Binding>> SlimPadApp::QueryPad(
 }
 
 Status SlimPadApp::SavePad(const std::string& path) const {
-  SLIM_RETURN_NOT_OK(dmi_->save(path));
-  return marks_->SaveToFile(path + ".marks");
+  // Both temp files are written and fsynced before either is renamed, so a
+  // failure up to then leaves the old pad and its marks as they were. The
+  // marks file is renamed first: old marks beside a new pad would lack the
+  // pad's newest marks.
+  FileReplacer pad_file(path);
+  *pad_file.buffer() = trim::StoreToBinary(store_);
+  FileReplacer marks_file(path + ".marks");
+  marks_->WriteTo(&marks_file);
+  return FileReplacer::CommitAll({&marks_file, &pad_file});
 }
 
 Status SlimPadApp::LoadPad(const std::string& path) {
-  // Nothing changes unless both files load: the pad file is read and
-  // checked before the marks are adopted, and the store is replaced last.
+  // Every step that can fail runs before anything changes: decoding the
+  // pad file, building its objects, decoding and checking the marks file,
+  // and installing the image. Then the objects are swapped in, the marks
+  // adopted and the open pad set.
   trim::TripleStore::Image image;
   SLIM_RETURN_NOT_OK(trim::ReadStoreFile(path, &image));
-  SLIM_RETURN_NOT_OK(marks_->LoadFromFile(path + ".marks"));
-  SLIM_RETURN_NOT_OK(store_.InstallImage(image));
-  SLIM_RETURN_NOT_OK(dmi_->RebuildFromTriples());
-  pad_ = nullptr;
-  std::vector<const SlimPad*> pads = dmi_->Pads();
-  if (pads.empty()) {
+  SLIM_ASSIGN_OR_RETURN(
+      SlimPadDmi::Objects objects,
+      dmi_->BuildObjects(image.strings(), image.statements()));
+  if (objects.pads.empty()) {
     return Status::ParseError("loaded file contains no pad");
   }
-  pad_ = pads.front();
+  SLIM_ASSIGN_OR_RETURN(mark::MarkManager::DecodedMarks marks,
+                        marks_->DecodeFile(path + ".marks"));
+  SLIM_RETURN_NOT_OK(dmi_->Install(image, std::move(objects)));
+  marks_->Adopt(std::move(marks));
+  pad_ = dmi_->Pads().front();
   return Status::OK();
 }
 

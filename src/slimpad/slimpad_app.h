@@ -126,11 +126,14 @@ class SlimPadApp {
   mark::ValidationReport AuditMarks() { return mark::ValidateAllMarks(marks_); }
 
   /// Saves pad data (triples) and marks side by side:
-  /// `<path>` and `<path>.marks`.
+  /// `<path>` and `<path>.marks`. Both are written and fsynced before
+  /// either replaces its old copy, so a failed write leaves both old files.
   Status SavePad(const std::string& path) const;
-  /// Loads both files and re-binds the current pad. All or nothing: when
-  /// either file fails to read or check, the marks and the triples are
-  /// left as they were.
+  /// Loads both files and re-binds the current pad. All or nothing: the pad
+  /// file is decoded and its objects built, the marks file is decoded and
+  /// checked, and the image is installed before the objects, the marks and
+  /// the open pad change; on any error the triples, the objects, the marks
+  /// and the open pad are left as they were.
   Status LoadPad(const std::string& path);
 
   /// Per-app gesture metrics (`slimpad.*`). The same events also land in

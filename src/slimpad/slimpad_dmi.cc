@@ -1,6 +1,8 @@
 #include "slimpad/slimpad_dmi.h"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 
 #include "slim/vocabulary.h"
 #include "trim/persistence.h"
@@ -27,52 +29,34 @@ constexpr const char* kMarkId = "markId";
 constexpr const char* kScrapAnnotation = "scrapAnnotation";
 constexpr const char* kScrapLink = "scrapLink";
 
-// One instance's statements in store order, read with one SelectEach over
-// its subject. The rows point into store records, so the caller holds a
-// TripleStore::Snapshot while an InstanceRows lives.
-class InstanceRows {
- public:
-  InstanceRows(const trim::TripleStore& store, const std::string& id)
-      : id_(id) {
-    store.SelectEach(trim::TriplePattern::BySubject(id),
-                     [this](const trim::Triple& t) {
-                       rows_.push_back(&t);
-                       return true;
-                     });
-  }
-
-  /// store::InstanceGraph::GetValue over the rows: the first statement
-  /// with `property` must be a literal.
-  Result<std::string> Value(std::string_view property) const {
-    for (const trim::Triple* t : rows_) {
-      if (t->property != property) continue;
-      if (t->object.is_resource()) break;
-      return t->object.text;
-    }
-    return Status::NotFound("instance '" + id_ +
-                            "' has no literal value for '" +
-                            std::string(property) + "'");
-  }
-
-  /// The `kind` objects of `property`, in store order.
-  std::vector<std::string> Objects(std::string_view property,
-                                   trim::ObjectKind kind) const {
-    std::vector<std::string> out;
-    for (const trim::Triple* t : rows_) {
-      if (t->property == property && t->object.kind == kind) {
-        out.push_back(t->object.text);
-      }
-    }
-    return out;
-  }
-  std::vector<std::string> Connected(std::string_view property) const {
-    return Objects(property, trim::ObjectKind::kResource);
-  }
-
- private:
-  const std::string& id_;
-  std::vector<const trim::Triple*> rows_;
+// What BuildObjects reads a string as: a property of the Bundle-Scrap
+// model, slim:type, or one of the four type resources.
+enum class Key : uint8_t {
+  kOther,
+  kPadName,
+  kRootBundle,
+  kBundleName,
+  kBundlePos,
+  kBundleWidth,
+  kBundleHeight,
+  kBundleContent,
+  kNestedBundle,
+  kScrapName,
+  kScrapPos,
+  kScrapMark,
+  kMarkId,
+  kScrapAnnotation,
+  kScrapLink,
+  kType,
+  kSlimPadType,  // the four types, in build order
+  kBundleType,
+  kScrapType,
+  kMarkHandleType,
+  kCount,
+  kUnread = kCount,  // not yet compared with the names
 };
+constexpr size_t kKeyCount = static_cast<size_t>(Key::kCount);
+constexpr size_t kFirstType = static_cast<size_t>(Key::kSlimPadType);
 }  // namespace
 
 std::string Coordinate::ToString() const {
@@ -80,10 +64,12 @@ std::string Coordinate::ToString() const {
 }
 
 Result<Coordinate> Coordinate::Parse(std::string_view text) {
-  std::vector<std::string> parts = Split(text, ',');
+  const size_t comma = text.find(',');
   Coordinate c;
-  if (parts.size() != 2 || !ParseDouble(parts[0], &c.x) ||
-      !ParseDouble(parts[1], &c.y)) {
+  if (comma == std::string_view::npos ||
+      text.find(',', comma + 1) != std::string_view::npos ||
+      !ParseDouble(text.substr(0, comma), &c.x) ||
+      !ParseDouble(text.substr(comma + 1), &c.y)) {
     return Status::ParseError("malformed coordinate '" + std::string(text) +
                               "'");
   }
@@ -545,80 +531,228 @@ Status SlimPadDmi::save(const std::string& file_name) const {
 }
 
 Status SlimPadDmi::load(const std::string& file_name) {
-  SLIM_RETURN_NOT_OK(trim::LoadStore(file_name, store_));
-  return RebuildFromTriples();
+  trim::TripleStore::Image image;
+  SLIM_RETURN_NOT_OK(trim::ReadStoreFile(file_name, &image));
+  SLIM_ASSIGN_OR_RETURN(Objects objects,
+                        BuildObjects(image.strings(), image.statements()));
+  return Install(image, std::move(objects));
+}
+
+Status SlimPadDmi::Install(const trim::TripleStore::Image& image,
+                           Objects objects) {
+  SLIM_RETURN_NOT_OK(store_->InstallImage(image));
+  Adopt(std::move(objects));
+  return Status::OK();
 }
 
 Status SlimPadDmi::RebuildFromTriples() {
-  pads_.clear();
-  bundles_.clear();
-  scraps_.clear();
-  handles_.clear();
+  Status status;
+  Objects objects;
+  store_->ExportImage(
+      [&](const std::vector<std::string_view>& strings,
+          const std::vector<trim::TripleStore::ImageStatement>& statements) {
+        Result<Objects> built = BuildObjects(strings, statements);
+        status = built.status();
+        if (built.ok()) objects = std::move(*built);
+      });
+  SLIM_RETURN_NOT_OK(status);
+  Adopt(std::move(objects));
+  return Status::OK();
+}
 
-  // Make sure model/schema triples exist after a load of a bare data file.
+void SlimPadDmi::Adopt(Objects objects) {
+  pads_.swap(objects.pads);
+  bundles_.swap(objects.bundles);
+  scraps_.swap(objects.scraps);
+  handles_.swap(objects.handles);
+  instances_.ReserveIdsThrough(objects.last_instance);
+  // A bare data file holds no model or schema triples; put them back as
+  // construction does.
   if (!store_->GetOne(model_.ModelResource(), Vocab::kName)) {
-    SLIM_RETURN_NOT_OK(model_.ToTriples(store_));
+    (void)model_.ToTriples(store_);
   }
   if (!store_->GetOne(schema_.SchemaResource(), Vocab::kName)) {
-    SLIM_RETURN_NOT_OK(schema_.ToTriples(store_));
+    (void)schema_.ToTriples(store_);
+  }
+}
+
+Result<SlimPadDmi::Objects> SlimPadDmi::BuildObjects(
+    const std::vector<std::string_view>& strings,
+    const std::vector<trim::TripleStore::ImageStatement>& statements) const {
+  using Statement = trim::TripleStore::ImageStatement;
+  constexpr trim::ObjectKind kResource = trim::ObjectKind::kResource;
+  const std::string types[4] = {TypeResource("SlimPad"),
+                                TypeResource("Bundle"), TypeResource("Scrap"),
+                                TypeResource("MarkHandle")};
+  const std::string_view names[kKeyCount] = {
+      "",
+      kPadName, kRootBundle, kBundleName, kBundlePos, kBundleWidth,
+      kBundleHeight, kBundleContent, kNestedBundle, kScrapName, kScrapPos,
+      kScrapMark, kMarkId, kScrapAnnotation, kScrapLink,
+      Vocab::kType,
+      types[0], types[1], types[2], types[3]};
+  // A string is compared with the names once, when it first shows up as a
+  // property or a type.
+  std::vector<Key> keys(strings.size(), Key::kUnread);
+  auto key = [&](uint32_t id) {
+    Key& k = keys[id];
+    if (k == Key::kUnread) {
+      k = Key::kOther;
+      for (size_t i = 1; i < kKeyCount; ++i) {
+        if (strings[id] == names[i]) {
+          k = static_cast<Key>(i);
+          break;
+        }
+      }
+    }
+    return k;
+  };
+
+  // One pass: count each subject's statements and find the typed ones.
+  Objects out;
+  std::vector<uint32_t> typed[4];
+  std::vector<uint32_t> begin(strings.size() + 1, 0);
+  for (const Statement& st : statements) {
+    ++begin[st.subject + 1];
+    if (key(st.property) == Key::kType) {
+      const std::optional<uint64_t> n =
+          instances_.IdNumber(strings[st.subject]);
+      if (n) out.last_instance = std::max(out.last_instance, *n);
+      const Key type = st.kind == kResource ? key(st.object) : Key::kOther;
+      if (type >= Key::kSlimPadType && type <= Key::kMarkHandleType) {
+        typed[static_cast<size_t>(type) - kFirstType].push_back(st.subject);
+      }
+    }
+  }
+  // A counting sort groups the statements by subject in image order:
+  // subject s's are at[begin[s]] .. at[begin[s + 1] - 1].
+  for (size_t s = 1; s < begin.size(); ++s) begin[s] += begin[s - 1];
+  std::vector<uint32_t> at(statements.size());
+  {
+    std::vector<uint32_t> next(begin.begin(), begin.end() - 1);
+    for (uint32_t i = 0; i < statements.size(); ++i) {
+      at[next[statements[i].subject]++] = i;
+    }
+  }
+  // Objects are made in id order, the order the maps keep.
+  for (std::vector<uint32_t>& ids : typed) {
+    std::sort(ids.begin(), ids.end(),
+              [&](uint32_t a, uint32_t b) { return strings[a] < strings[b]; });
   }
 
-  // One pass per instance over its own statements, by type, then the
-  // parent links once every bundle exists.
-  trim::TripleStore::Snapshot snapshot(*store_);
-  for (const std::string& id : instances_.InstancesOf(TypeResource("SlimPad"))) {
-    InstanceRows rows(*store_, id);
+  // Reads subject `s`'s statements: `first` gets each key's first one and
+  // `each(key, statement)` sees them all, in order.
+  const Statement* first[kKeyCount];
+  auto read = [&](uint32_t s, auto&& each) {
+    std::fill(std::begin(first), std::end(first), nullptr);
+    for (uint32_t i = begin[s]; i < begin[s + 1]; ++i) {
+      const Statement& st = statements[at[i]];
+      const Key k = keys[st.property];
+      const Statement*& f = first[static_cast<size_t>(k)];
+      if (f == nullptr) f = &st;
+      each(k, st);
+    }
+  };
+  // The value of attribute `k` read by `read`: its first statement, which
+  // must be a literal.
+  auto literal = [&](std::string_view id, Key k,
+                     std::string_view* value) -> Status {
+    const Statement* st = first[static_cast<size_t>(k)];
+    if (st == nullptr || st->kind == kResource) {
+      return Status::NotFound("instance '" + std::string(id) +
+                              "' has no literal value for '" +
+                              std::string(names[static_cast<size_t>(k)]) +
+                              "'");
+    }
+    *value = strings[st->object];
+    return Status::OK();
+  };
+  auto text = [&](const Statement& st) {
+    return std::string(strings[st.object]);
+  };
+  auto no_op = [](Key, const Statement&) {};
+
+  for (uint32_t s : typed[0]) {
     auto pad = std::make_unique<SlimPad>();
-    pad->id_ = id;
-    SLIM_ASSIGN_OR_RETURN(pad->pad_name_, rows.Value(kPadName));
-    std::vector<std::string> roots = rows.Connected(kRootBundle);
-    if (!roots.empty()) pad->root_bundle_ = std::move(roots.front());
-    pads_[id] = std::move(pad);
+    pad->id_ = strings[s];
+    bool has_root = false;
+    read(s, [&](Key k, const Statement& st) {
+      if (k == Key::kRootBundle && st.kind == kResource && !has_root) {
+        pad->root_bundle_ = text(st);
+        has_root = true;
+      }
+    });
+    std::string_view name;
+    SLIM_RETURN_NOT_OK(literal(pad->id_, Key::kPadName, &name));
+    pad->pad_name_ = name;
+    out.pads.emplace_hint(out.pads.end(), strings[s], std::move(pad));
   }
-  for (const std::string& id : instances_.InstancesOf(TypeResource("Bundle"))) {
-    InstanceRows rows(*store_, id);
+
+  // Bundles by subject, and each (child, parent) nesting in build order.
+  std::vector<Bundle*> bundle_at(strings.size(), nullptr);
+  std::vector<std::pair<uint32_t, const Bundle*>> nestings;
+  for (uint32_t s : typed[1]) {
     auto bundle = std::make_unique<Bundle>();
-    bundle->id_ = id;
-    SLIM_ASSIGN_OR_RETURN(bundle->name_, rows.Value(kBundleName));
-    SLIM_ASSIGN_OR_RETURN(std::string pos_text, rows.Value(kBundlePos));
-    SLIM_ASSIGN_OR_RETURN(bundle->pos_, Coordinate::Parse(pos_text));
-    SLIM_ASSIGN_OR_RETURN(std::string w, rows.Value(kBundleWidth));
-    SLIM_ASSIGN_OR_RETURN(std::string h, rows.Value(kBundleHeight));
-    if (!ParseDouble(w, &bundle->width_) || !ParseDouble(h, &bundle->height_)) {
+    bundle->id_ = strings[s];
+    read(s, [&](Key k, const Statement& st) {
+      if (st.kind != kResource) return;
+      if (k == Key::kBundleContent) {
+        bundle->scraps_.push_back(text(st));
+      } else if (k == Key::kNestedBundle) {
+        bundle->nested_bundles_.push_back(text(st));
+        nestings.emplace_back(st.object, bundle.get());
+      }
+    });
+    const std::string& id = bundle->id_;
+    std::string_view name, pos, width, height;
+    SLIM_RETURN_NOT_OK(literal(id, Key::kBundleName, &name));
+    SLIM_RETURN_NOT_OK(literal(id, Key::kBundlePos, &pos));
+    SLIM_ASSIGN_OR_RETURN(bundle->pos_, Coordinate::Parse(pos));
+    SLIM_RETURN_NOT_OK(literal(id, Key::kBundleWidth, &width));
+    SLIM_RETURN_NOT_OK(literal(id, Key::kBundleHeight, &height));
+    if (!ParseDouble(width, &bundle->width_) ||
+        !ParseDouble(height, &bundle->height_)) {
       return Status::ParseError("bundle '" + id + "': bad geometry");
     }
-    bundle->scraps_ = rows.Connected(kBundleContent);
-    bundle->nested_bundles_ = rows.Connected(kNestedBundle);
-    bundles_[id] = std::move(bundle);
+    bundle->name_ = name;
+    bundle_at[s] = bundle.get();
+    out.bundles.emplace_hint(out.bundles.end(), strings[s], std::move(bundle));
   }
-  for (const std::string& id : instances_.InstancesOf(TypeResource("Scrap"))) {
-    InstanceRows rows(*store_, id);
+  // A bundle nested under several takes the last parent in id order.
+  for (const auto& [child, parent] : nestings) {
+    if (Bundle* b = bundle_at[child]) b->parent_ = parent->id_;
+  }
+
+  for (uint32_t s : typed[2]) {
     auto scrap = std::make_unique<Scrap>();
-    scrap->id_ = id;
-    SLIM_ASSIGN_OR_RETURN(scrap->name_, rows.Value(kScrapName));
-    SLIM_ASSIGN_OR_RETURN(std::string pos_text, rows.Value(kScrapPos));
-    SLIM_ASSIGN_OR_RETURN(scrap->pos_, Coordinate::Parse(pos_text));
-    scrap->mark_handles_ = rows.Connected(kScrapMark);
-    scrap->linked_scraps_ = rows.Connected(kScrapLink);
-    scrap->annotations_ =
-        rows.Objects(kScrapAnnotation, trim::ObjectKind::kLiteral);
-    scraps_[id] = std::move(scrap);
+    scrap->id_ = strings[s];
+    read(s, [&](Key k, const Statement& st) {
+      if (k == Key::kScrapAnnotation) {
+        if (st.kind != kResource) scrap->annotations_.push_back(text(st));
+      } else if (st.kind == kResource) {
+        if (k == Key::kScrapMark) scrap->mark_handles_.push_back(text(st));
+        if (k == Key::kScrapLink) scrap->linked_scraps_.push_back(text(st));
+      }
+    });
+    std::string_view name, pos;
+    SLIM_RETURN_NOT_OK(literal(scrap->id_, Key::kScrapName, &name));
+    SLIM_RETURN_NOT_OK(literal(scrap->id_, Key::kScrapPos, &pos));
+    SLIM_ASSIGN_OR_RETURN(scrap->pos_, Coordinate::Parse(pos));
+    scrap->name_ = name;
+    out.scraps.emplace_hint(out.scraps.end(), strings[s], std::move(scrap));
   }
-  for (const std::string& id :
-       instances_.InstancesOf(TypeResource("MarkHandle"))) {
-    InstanceRows rows(*store_, id);
+
+  for (uint32_t s : typed[3]) {
     auto handle = std::make_unique<MarkHandle>();
-    handle->id_ = id;
-    SLIM_ASSIGN_OR_RETURN(handle->mark_id_, rows.Value(kMarkId));
-    handles_[id] = std::move(handle);
+    handle->id_ = strings[s];
+    read(s, no_op);
+    std::string_view mark_id;
+    SLIM_RETURN_NOT_OK(literal(handle->id_, Key::kMarkId, &mark_id));
+    handle->mark_id_ = mark_id;
+    out.handles.emplace_hint(out.handles.end(), strings[s],
+                             std::move(handle));
   }
-  for (auto& [id, bundle] : bundles_) {
-    for (const std::string& child : bundle->nested_bundles_) {
-      auto cit = bundles_.find(child);
-      if (cit != bundles_.end()) cit->second->parent_ = id;
-    }
-  }
-  return Status::OK();
+  return out;
 }
 
 size_t SlimPadDmi::NativeObjectCount() const {

@@ -13,12 +13,15 @@
 /// Method names follow Fig. 10 (Create_Bundle, Update_padName, ...) rather
 /// than house style, to make the correspondence with the paper exact. Every
 /// mutator updates the native object graph *and* the triple store; `load`
-/// rebuilds the objects from triples, so the two representations are
-/// provably interconvertible (tests assert round trips).
+/// builds the objects from the triples a pad file holds, so the two
+/// representations are provably interconvertible (tests assert round
+/// trips).
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "slim/instance.h"
@@ -125,11 +128,45 @@ class SlimPadDmi {
   /// reads XML store files (trim/persistence.h).
   /// @{
   Status save(const std::string& file_name) const;
+  /// Replaces the store's contents and the native objects with the file's,
+  /// all or nothing: the file is decoded into an image, the objects are
+  /// built from it (BuildObjects), and only then is the image installed
+  /// and the objects adopted (Install). On any error the store, the
+  /// objects and the id generator are as they were.
   Status load(const std::string& file_name);
   /// @}
 
-  /// Rebuilds native objects from whatever instance triples are currently
-  /// in the store (used by load and by tests that write triples directly).
+  /// \brief The native objects of a pad, by id, as the DMI holds them.
+  struct Objects {
+    std::map<std::string, std::unique_ptr<SlimPad>> pads;
+    std::map<std::string, std::unique_ptr<Bundle>> bundles;
+    std::map<std::string, std::unique_ptr<Scrap>> scraps;
+    std::map<std::string, std::unique_ptr<MarkHandle>> handles;
+    /// The largest n of an "inst:<n>" subject with a type; 0 for none.
+    uint64_t last_instance = 0;
+  };
+
+  /// Makes every pad, bundle, scrap and mark handle that an image's
+  /// `strings` and `statements` (trim::TripleStore::Image) hold, in one
+  /// pass over them, touching neither the store nor this DMI's objects.
+  /// An instance's first statement of an attribute gives its value, and it
+  /// must be a literal: NotFound ("instance '<id>' has no literal value for
+  /// '<property>'") otherwise; ParseError for a malformed coordinate or
+  /// bundle size. The first error by type (pads, bundles, scraps, handles),
+  /// then by id, is returned.
+  Result<Objects> BuildObjects(
+      const std::vector<std::string_view>& strings,
+      const std::vector<trim::TripleStore::ImageStatement>& statements) const;
+
+  /// Installs `image` into the store (trim::TripleStore::InstallImage) and
+  /// then adopts `objects`, which BuildObjects made from it. On an install
+  /// error nothing changes.
+  Status Install(const trim::TripleStore::Image& image, Objects objects);
+
+  /// Rebuilds the native objects from whatever triples are currently in the
+  /// store (for tests and tools that write triples directly): the store's
+  /// image (trim::TripleStore::ExportImage) through BuildObjects. On an
+  /// error the objects stay as they were.
   Status RebuildFromTriples();
 
   /// Counts of native objects vs triples (space-experiment probes).
@@ -143,6 +180,9 @@ class SlimPadDmi {
   /// True iff `maybe_descendant` is (or is nested under) `ancestor`.
   bool IsNestedUnder(const std::string& maybe_descendant,
                      const std::string& ancestor) const;
+  /// Replaces the native objects with `objects`, reserves instance ids past
+  /// theirs, and writes the model and schema triples the store lacks.
+  void Adopt(Objects objects);
 
   trim::TripleStore* store_;
   store::ModelDef model_;

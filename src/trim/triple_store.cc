@@ -299,14 +299,13 @@ TripleStore::~TripleStore() {
 // Mutations
 // ---------------------------------------------------------------------------
 
-Status TripleStore::Add(Triple triple, bool allow_duplicates) {
+Status TripleStore::Add(Triple triple) {
   util::MutexLock lock(&write_mu_);
   WriterScope ws(*this);
-  return AddLocked(std::move(triple), allow_duplicates, ws);
+  return AddLocked(std::move(triple), ws);
 }
 
-Status TripleStore::AddLocked(Triple triple, bool allow_duplicates,
-                              WriterScope& ws) {
+Status TripleStore::AddLocked(Triple triple, WriterScope& ws) {
   if (triple.subject.empty() || triple.property.empty()) {
     SLIM_OBS_COUNT("trim.add.invalid");
     return Status::InvalidArgument("triple subject/property must be non-empty");
@@ -334,8 +333,7 @@ Status TripleStore::AddLocked(Triple triple, bool allow_duplicates,
     hash[f] = KeyHash(text[f]);
     node[f] = FindKey(*guts, hash[f], text[f]);
   }
-  if (!allow_duplicates && node[0] != nullptr && node[1] != nullptr &&
-      node[2] != nullptr &&
+  if (node[0] != nullptr && node[1] != nullptr && node[2] != nullptr &&
       FindExact(guts, ws.epoch(),
                 KeyPattern{node[0]->id, node[1]->id, node[2]->id,
                            triple.object.kind}) != nullptr) {
@@ -467,7 +465,7 @@ TripleStore::BatchResult TripleStore::ApplyBatch(std::vector<WriteOp> ops) {
     Status s;
     switch (op.kind) {
       case WriteOp::Kind::kAdd:
-        s = AddLocked(std::move(op.triple), /*allow_duplicates=*/false, ws);
+        s = AddLocked(std::move(op.triple), ws);
         break;
       case WriteOp::Kind::kRemove:
         s = RemoveLocked(op.triple, ws);
@@ -485,8 +483,7 @@ Status TripleStore::SetOne(const std::string& subject,
   util::MutexLock lock(&write_mu_);
   WriterScope ws(*this);
   RemoveMatchingLocked(TriplePattern::BySubjectProperty(subject, property), ws);
-  return AddLocked(Triple{subject, property, std::move(object)},
-                   /*allow_duplicates=*/false, ws);
+  return AddLocked(Triple{subject, property, std::move(object)}, ws);
 }
 
 void TripleStore::Clear() {

@@ -237,6 +237,9 @@ class TripleStore {
     Status AddStatement(const ImageStatement& statement);
 
     const std::vector<std::string_view>& strings() const { return strings_; }
+    const std::vector<ImageStatement>& statements() const {
+      return statements_;
+    }
 
    private:
     friend class TripleStore;
@@ -270,10 +273,10 @@ class TripleStore {
   TripleStore(const TripleStore&) = delete;
   TripleStore& operator=(const TripleStore&) = delete;
 
-  /// Adds a triple. Duplicate statements are allowed only when
-  /// `allow_duplicates` is set (default: rejected with AlreadyExists, the
-  /// RDF set semantics the paper's representation assumes).
-  Status Add(Triple triple, bool allow_duplicates = false);
+  /// Adds a triple. A statement the store already holds is rejected with
+  /// AlreadyExists: the RDF set semantics the paper's representation
+  /// assumes, and the one pad files hold.
+  Status Add(Triple triple);
 
   /// Convenience: add (s, p, literal) / (s, p, resource).
   Status AddLiteral(std::string subject, std::string property,
@@ -539,7 +542,7 @@ class TripleStore {
   /// Lock-split internals: public mutators take write_mu_ once, open one
   /// WriterScope, and delegate here, so compound operations (SetOne =
   /// RemoveMatching + Add) commit as a single epoch.
-  Status AddLocked(Triple triple, bool allow_duplicates, WriterScope& ws)
+  Status AddLocked(Triple triple, WriterScope& ws)
       REQUIRES(write_mu_);
   Status RemoveLocked(const Triple& triple, WriterScope& ws)
       REQUIRES(write_mu_);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <system_error>
+#include <vector>
 
 namespace slim {
 
@@ -26,14 +27,17 @@ ssize_t ReadSome(int fd, char* buf, size_t len) {
   }
 }
 
-// fsyncs the directory holding `path`, so a rename into it survives a
-// crash. A file system that cannot sync a directory (EINVAL) has nothing
-// to flush.
-Status SyncParentDir(const std::string& path) {
+// The directory holding `path`.
+std::string ParentDir(const std::string& path) {
   const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "."
-                          : slash == 0               ? "/"
-                                                     : path.substr(0, slash);
+  return slash == std::string::npos ? "."
+         : slash == 0               ? "/"
+                                    : path.substr(0, slash);
+}
+
+// fsyncs `dir`, so a rename into it survives a crash. A file system that
+// cannot sync a directory (EINVAL) has nothing to flush.
+Status SyncDir(const std::string& dir) {
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) {
     return Status::IoError("cannot open directory '" + dir +
@@ -98,21 +102,21 @@ FileReplacer::FileReplacer(std::string path)
                               "' for writing: " + ErrnoText(errno));
     return;
   }
+  tmp_exists_ = true;
   buffer_.reserve(2 * kChunkBytes);
 }
 
 FileReplacer::~FileReplacer() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    ::unlink(tmp_path_.c_str());
-  }
+  if (fd_ >= 0) ::close(fd_);
+  if (tmp_exists_) ::unlink(tmp_path_.c_str());
 }
 
 void FileReplacer::Fail(const std::string& what) {
   int err = errno;
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
-  ::unlink(tmp_path_.c_str());
+  if (tmp_exists_) ::unlink(tmp_path_.c_str());
+  tmp_exists_ = false;
   status_ = Status::IoError(what + ": " + ErrnoText(err));
 }
 
@@ -133,7 +137,7 @@ void FileReplacer::WriteIfFull() {
   if (buffer_.size() >= kChunkBytes) WriteBuffer();
 }
 
-Status FileReplacer::Commit() {
+Status FileReplacer::Sync() {
   WriteBuffer();
   if (!status_.ok()) return status_;
   if (::fsync(fd_) != 0) {
@@ -142,14 +146,29 @@ Status FileReplacer::Commit() {
   }
   int rc = ::close(fd_);
   fd_ = -1;
-  if (rc != 0) {
-    Fail("close failed for '" + tmp_path_ + "'");
-  } else if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    Fail("cannot rename '" + tmp_path_ + "' to '" + path_ + "'");
-  } else {
-    status_ = SyncParentDir(path_);
-  }
+  if (rc != 0) Fail("close failed for '" + tmp_path_ + "'");
   return status_;
+}
+
+Status FileReplacer::Commit() { return CommitAll({this}); }
+
+Status FileReplacer::CommitAll(std::initializer_list<FileReplacer*> files) {
+  for (FileReplacer* file : files) SLIM_RETURN_NOT_OK(file->Sync());
+  std::vector<std::string> dirs;
+  for (FileReplacer* file : files) {
+    if (std::rename(file->tmp_path_.c_str(), file->path_.c_str()) != 0) {
+      file->Fail("cannot rename '" + file->tmp_path_ + "' to '" +
+                 file->path_ + "'");
+      return file->status_;
+    }
+    file->tmp_exists_ = false;
+    std::string dir = ParentDir(file->path_);
+    if (std::find(dirs.begin(), dirs.end(), dir) == dirs.end()) {
+      dirs.push_back(std::move(dir));
+    }
+  }
+  for (const std::string& dir : dirs) SLIM_RETURN_NOT_OK(SyncDir(dir));
+  return Status::OK();
 }
 
 }  // namespace slim

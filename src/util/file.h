@@ -4,6 +4,7 @@
 /// \file file.h
 /// \brief Whole-file reads and crash-safe whole-file replacement.
 
+#include <initializer_list>
 #include <string>
 
 #include "util/result.h"
@@ -45,16 +46,25 @@ class FileReplacer {
   /// the target and fsyncs the target's directory. IoError on any failure:
   /// with the old file untouched when the rename has not happened, and
   /// with the new file in place but perhaps not durable when only the
-  /// directory fsync failed.
+  /// directory fsync failed. CommitAll({this}).
   Status Commit();
+  /// Commits `files` together: writes and fsyncs every temp file first,
+  /// and only when all of them are durable renames each over its target,
+  /// in order, then fsyncs each target directory once. A failure before
+  /// the renames leaves every old file untouched; a failed rename stops
+  /// the ones after it.
+  static Status CommitAll(std::initializer_list<FileReplacer*> files);
 
  private:
   void WriteBuffer();
+  /// Writes the rest of the buffer, fsyncs and closes the temp file.
+  Status Sync();
   void Fail(const std::string& what);
 
   std::string path_;
   std::string tmp_path_;
-  int fd_ = -1;  ///< Open temp file; -1 once failed or committed.
+  int fd_ = -1;             ///< Open temp file; -1 once failed or synced.
+  bool tmp_exists_ = false;  ///< The temp file is there, not yet renamed.
   Status status_;
   std::string buffer_;
 };

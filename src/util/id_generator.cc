@@ -4,13 +4,15 @@
 
 namespace slim {
 
-void IdGenerator::ObserveExisting(const std::string& id) {
-  if (!StartsWith(id, prefix_)) return;
-  std::string_view suffix = std::string_view(id).substr(prefix_.size());
+void IdGenerator::ObserveExisting(std::string_view id) {
+  if (std::optional<uint64_t> n = NumberOf(id)) ReserveAtLeast(*n);
+}
+
+std::optional<uint64_t> IdGenerator::NumberOf(std::string_view id) const {
+  if (!StartsWith(id, prefix_)) return std::nullopt;
   long long n = 0;
-  if (ParseInt(suffix, &n) && n >= 0) {
-    ReserveAtLeast(static_cast<uint64_t>(n));
-  }
+  if (!ParseInt(id.substr(prefix_.size()), &n) || n < 0) return std::nullopt;
+  return static_cast<uint64_t>(n);
 }
 
 }  // namespace slim

@@ -10,7 +10,9 @@
 /// per-generator.
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace slim {
 
@@ -30,7 +32,10 @@ class IdGenerator {
   }
 
   /// If `id` is "<prefix><digits>", reserves past it (for reload support).
-  void ObserveExisting(const std::string& id);
+  void ObserveExisting(std::string_view id);
+
+  /// The n of an id "<prefix><n>"; nullopt for any other id.
+  std::optional<uint64_t> NumberOf(std::string_view id) const;
 
   /// The counter value the next id will use.
   uint64_t peek() const { return next_; }

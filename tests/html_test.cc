@@ -164,6 +164,30 @@ TEST(HtmlParseTest, DeepNestingIsBoundedOnASmallStack) {
   });
 }
 
+// A DOM built in code has no depth bound: 100,000 nested elements are
+// walked by Visit, InnerText, VisibleText and ElementCount and freed
+// without recursion, on a small thread stack.
+TEST(DomTest, DeepTreeBuiltInCodeWalksAndFreesOnASmallStack) {
+  constexpr size_t kLevels = 100000;
+  OnSmallStack([] {
+    std::unique_ptr<xml::Document> doc = xml::Document::Create("html");
+    xml::Element* e = doc->root();
+    for (size_t i = 1; i < kLevels; ++i) {
+      e = e->AddElement(i % 1000 == 0 ? "script" : "div");
+      if (i % 1000 == 1) e->AddText("t");
+    }
+    e->AddText("deep");
+    size_t visited = 0;
+    doc->root()->Visit([&visited](xml::Element*) { ++visited; });
+    EXPECT_EQ(visited, size_t{kLevels});
+    EXPECT_EQ(doc->ElementCount(), size_t{kLevels});
+    EXPECT_EQ(doc->root()->InnerText(), std::string(100, 't') + "deep");
+    // Text below the first <script> (level 1,000) is not visible.
+    EXPECT_EQ(VisibleText(doc->root()), "t");
+    doc.reset();
+  });
+}
+
 TEST(HtmlFindTest, ById) {
   auto doc = ParseHtml(
       "<body><div id=\"a\">first</div><div id=\"b\">second</div></body>");

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "slim/conformance.h"
 #include "trim/persistence.h"
 #include "util/file.h"
+#include "util/strings.h"
 #include "workload/corpus.h"
 #include "workload/session.h"
 
@@ -267,6 +273,207 @@ TEST_F(SessionTest, LoadPadReadsXmlPadFiles) {
   auto opened = doctor2.OpenAllScraps();
   ASSERT_TRUE(opened.ok()) << opened.status();
   EXPECT_GT(*opened, 0u);
+  std::remove(path.c_str());
+  std::remove((path + ".marks").c_str());
+}
+
+// Every native object of `dmi`, field by field, in id order.
+std::string DescribeObjects(const pad::SlimPadDmi& dmi) {
+  std::string out;
+  auto list = [&out](const std::vector<std::string>& ids) {
+    out += " [";
+    for (const std::string& id : ids) out += id + " ";
+    out += "]";
+  };
+  for (const pad::SlimPad* p : dmi.Pads()) {
+    out += p->id() + " pad '" + p->pad_name() + "' root " + p->root_bundle();
+    out += "\n";
+  }
+  for (const pad::Bundle* b : dmi.Bundles()) {
+    out += b->id() + " bundle '" + b->name() + "' " + b->pos().ToString() +
+           " " + FormatNumber(b->width()) + "x" + FormatNumber(b->height()) +
+           " in " + b->parent();
+    list(b->scraps());
+    list(b->nested_bundles());
+    out += "\n";
+  }
+  for (const pad::Scrap* s : dmi.Scraps()) {
+    out += s->id() + " scrap '" + s->name() + "' " + s->pos().ToString();
+    for (const std::string& h : s->mark_handles()) {
+      out += " " + h + "=" + (*dmi.GetMarkHandle(h))->mark_id();
+    }
+    list(s->annotations());
+    list(s->linked_scraps());
+    out += "\n";
+  }
+  return out + std::to_string(dmi.mark_handle_count()) + " handles\n";
+}
+
+// A second doctor's session over the same base layer.
+void StartDoctor2(Session* doctor2) {
+  IcuOptions options;
+  options.patients = 3;
+  options.seed = 2026;
+  ASSERT_TRUE(doctor2->LoadIcuWorkload(GenerateIcuWorkload(options)).ok());
+}
+
+// Instance ids minted after LoadPad continue past the loaded pad's: a new
+// scrap never takes the id (and so the type) of a loaded instance.
+TEST_F(SessionTest, GraphicScrapAfterLoadPadGetsAFreshId) {
+  ASSERT_TRUE(session_.BuildRoundsPad(2).ok());
+  std::string path = ::testing::TempDir() + "/fresh_ids.pad";
+  ASSERT_TRUE(session_.app().SavePad(path).ok());
+  Session doctor2;
+  StartDoctor2(&doctor2);
+  ASSERT_TRUE(doctor2.app().LoadPad(path).ok());
+  auto id = doctor2.app().AddGraphicScrap(*doctor2.app().RootBundle(),
+                                          "Night notes", {1, 1});
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_TRUE(session_.app()
+                  .store()
+                  .Select(trim::TriplePattern::BySubject(*id))
+                  .empty())
+      << *id;
+  const trim::TriplePattern type =
+      trim::TriplePattern::BySubjectProperty(*id, "slim:type");
+  EXPECT_EQ(doctor2.app().store().Select(type).size(), 1u);
+  std::remove(path.c_str());
+  std::remove((path + ".marks").c_str());
+}
+
+// Annotating a scrap twice keeps one annotation, so the saved pad (a set of
+// statements) loads back.
+TEST_F(SessionTest, AnnotatingTwiceStillSavesAPadThatLoads) {
+  ASSERT_TRUE(session_.BuildRoundsPad().ok());
+  pad::SlimPadDmi& dmi = session_.app().dmi();
+  const std::string scrap =
+      (*dmi.GetBundle(session_.patient_bundles()[0]))->scraps().front();
+  ASSERT_TRUE(dmi.AddScrapAnnotation(scrap, "recheck K").ok());
+  EXPECT_TRUE(dmi.AddScrapAnnotation(scrap, "recheck K").IsAlreadyExists());
+  EXPECT_EQ((*dmi.GetScrap(scrap))->annotations(),
+            (std::vector<std::string>{"recheck K"}));
+  std::string path = ::testing::TempDir() + "/annotated.pad";
+  ASSERT_TRUE(session_.app().SavePad(path).ok());
+  Session doctor2;
+  StartDoctor2(&doctor2);
+  Status st = doctor2.app().LoadPad(path);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(DescribeObjects(doctor2.app().dmi()), DescribeObjects(dmi));
+  std::remove(path.c_str());
+  std::remove((path + ".marks").c_str());
+}
+
+// SavePad replaces both files or neither: when the marks file cannot be
+// written, the pad file on disk stays byte for byte the old one.
+TEST_F(SessionTest, SavePadThatCannotWriteItsMarksKeepsThePadFile) {
+  ASSERT_TRUE(session_.BuildRoundsPad().ok());
+  std::string path = ::testing::TempDir() + "/marks_blocked.pad";
+  ASSERT_TRUE(session_.app().SavePad(path).ok());
+  const std::string pad_before = *ReadFile(path);
+  const std::string marks_before = *ReadFile(path + ".marks");
+  ASSERT_TRUE(session_.app()
+                  .AddGraphicScrap(*session_.app().RootBundle(), "later",
+                                   {1, 1})
+                  .ok());
+  const std::string blocker = path + ".marks.tmp";
+  ASSERT_EQ(::mkdir(blocker.c_str(), 0755), 0);
+  EXPECT_FALSE(session_.app().SavePad(path).ok());
+  EXPECT_EQ(*ReadFile(path), pad_before);
+  EXPECT_EQ(*ReadFile(path + ".marks"), marks_before);
+  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);  // no temp left
+  ASSERT_EQ(::rmdir(blocker.c_str()), 0);
+  ASSERT_TRUE(session_.app().SavePad(path).ok());
+  EXPECT_NE(*ReadFile(path), pad_before);
+  std::remove(path.c_str());
+  std::remove((path + ".marks").c_str());
+}
+
+// A pad file whose triples pass TRIM's checks but cannot be built into
+// SLIMPad objects fails with BuildObjects' error and changes nothing: not
+// the triples, the marks, the objects, the open pad or a query's answers.
+TEST_F(SessionTest, LoadPadWithUnbuildableObjectsChangesNothing) {
+  ASSERT_TRUE(session_.BuildRoundsPad().ok());
+  std::string path = ::testing::TempDir() + "/unbuildable.pad";
+  ASSERT_TRUE(session_.app().SavePad(path).ok());
+  const std::string good = trim::StoreToXml(session_.app().store());
+  pad::SlimPadDmi& dmi = session_.app().dmi();
+  const std::string bundle = session_.patient_bundles()[0];
+  const std::string scrap = (*dmi.GetBundle(bundle))->scraps().front();
+  const std::string handle = (*dmi.GetScrap(scrap))->mark_handles().front();
+
+  Session doctor2;
+  StartDoctor2(&doctor2);
+  pad::SlimPadApp& app2 = doctor2.app();
+  ASSERT_TRUE(app2.NewPad("Night shift").ok());
+  ASSERT_TRUE(app2.AddGraphicScrap(*app2.RootBundle(), "Handoff", {5, 5}).ok());
+  const std::string triples_before = trim::StoreToXml(app2.store());
+  const std::vector<std::string> marks_before = doctor2.marks().MarkIds();
+  const std::string objects_before = DescribeObjects(app2.dmi());
+  const pad::SlimPad* pad_before = app2.pad();
+  const std::string root_before = *app2.RootBundle();
+  const std::vector<store::Binding> answers_before =
+      *app2.QueryPad("?s scrapName ?n");
+  ASSERT_NE(marks_before.size(), session_.marks().size());
+
+  auto no_literal = [](const std::string& id, const std::string& property) {
+    return "instance '" + id + "' has no literal value for '" + property + "'";
+  };
+  struct Case {
+    std::string subject;
+    std::string property;
+    std::optional<trim::Object> replacement;  // none: the value is removed
+    bool parse_error;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {bundle, "bundleName", {}, false, no_literal(bundle, "bundleName")},
+      {bundle, "bundlePos", {}, false, no_literal(bundle, "bundlePos")},
+      {bundle, "bundleWidth", {}, false, no_literal(bundle, "bundleWidth")},
+      {bundle, "bundleHeight", {}, false, no_literal(bundle, "bundleHeight")},
+      {scrap, "scrapName", {}, false, no_literal(scrap, "scrapName")},
+      {scrap, "scrapPos", {}, false, no_literal(scrap, "scrapPos")},
+      {handle, "markId", {}, false, no_literal(handle, "markId")},
+      {scrap, "scrapName", trim::Object::Resource(bundle), false,
+       no_literal(scrap, "scrapName")},
+      {handle, "markId", trim::Object::Resource("mark1"), false,
+       no_literal(handle, "markId")},
+      {bundle, "bundlePos", trim::Object::Literal("12;34"), true,
+       "malformed coordinate '12;34'"},
+      {scrap, "scrapPos", trim::Object::Literal("1,2,3"), true,
+       "malformed coordinate '1,2,3'"},
+      {bundle, "bundleHeight", trim::Object::Literal("tall"), true,
+       "bundle '" + bundle + "': bad geometry"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.subject + " " + c.property);
+    trim::TripleStore edited;
+    ASSERT_TRUE(trim::StoreFromXml(good, &edited).ok());
+    ASSERT_EQ(edited.RemoveMatching(trim::TriplePattern::BySubjectProperty(
+                  c.subject, c.property)),
+              1u);
+    if (c.replacement) {
+      ASSERT_TRUE(
+          edited.Add(trim::Triple{c.subject, c.property, *c.replacement}).ok());
+    }
+    ASSERT_TRUE(trim::SaveStore(edited, path).ok());
+
+    Status st = app2.LoadPad(path);
+    EXPECT_EQ(st.IsParseError(), c.parse_error) << st;
+    EXPECT_EQ(st.IsNotFound(), !c.parse_error) << st;
+    EXPECT_EQ(st.message(), c.message);
+    EXPECT_EQ(trim::StoreToXml(app2.store()), triples_before);
+    EXPECT_EQ(doctor2.marks().MarkIds(), marks_before);
+    EXPECT_EQ(DescribeObjects(app2.dmi()), objects_before);
+    EXPECT_EQ(app2.pad(), pad_before);
+    EXPECT_EQ(*app2.RootBundle(), root_before);
+    EXPECT_EQ(*app2.QueryPad("?s scrapName ?n"), answers_before);
+  }
+
+  // The same files with the pad file intact load.
+  ASSERT_TRUE(session_.app().SavePad(path).ok());
+  ASSERT_TRUE(app2.LoadPad(path).ok());
+  EXPECT_EQ(DescribeObjects(app2.dmi()), DescribeObjects(dmi));
+  EXPECT_EQ(doctor2.marks().size(), session_.marks().size());
   std::remove(path.c_str());
   std::remove((path + ".marks").c_str());
 }

@@ -525,6 +525,30 @@ TEST(MappingTest, DropUnmappedProperties) {
   EXPECT_TRUE(out.GetValue(a, "drop").status().IsNotFound());
 }
 
+// The target is a set: a statement it already holds is skipped, not
+// written twice or counted, so mappings accumulate without failing.
+TEST(MappingTest, StatementsTheTargetHoldsAreSkippedAndNotCounted) {
+  trim::TripleStore source;
+  InstanceGraph graph(&source);
+  std::string a = *graph.Create("A");
+  (void)graph.SetValue(a, "first", "1");
+  (void)graph.SetValue(a, "second", "1");
+
+  Mapping mapping("m");
+  ASSERT_TRUE(
+      mapping.AddRule({"A", "A", {{"first", "v"}, {"second", "v"}}, false})
+          .ok());
+  trim::TripleStore target;
+  auto stats = mapping.Apply(source, &target);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->triples_written, 2u);  // the type and one (a, v, "1")
+  EXPECT_EQ(target.size(), 2u);
+  auto again = mapping.Apply(source, &target);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->triples_written, 0u);
+  EXPECT_EQ(target.size(), 2u);
+}
+
 TEST(MappingTest, RuleValidations) {
   Mapping mapping("m");
   ASSERT_TRUE(mapping.AddRule({"A", "B", {}, false}).ok());

@@ -2,6 +2,7 @@
 
 #include "obs/obs.h"
 #include "slim/conformance.h"
+#include "slimpad/slimpad_app.h"
 #include "slimpad/slimpad_dmi.h"
 #include "trim/persistence.h"
 #include "util/rng.h"
@@ -316,6 +317,100 @@ TEST_F(SlimPadDmiTest, BundleMissingWidthFailsRebuildWithNotFound) {
   EXPECT_EQ(st.message(), expected);
 }
 
+// Ids minted after a load or a rebuild continue past every loaded
+// instance: none names an instance the saved pad already has.
+TEST_F(SlimPadDmiTest, IdsMintedAfterALoadContinuePastTheLoadedOnes) {
+  const SlimPad* pad = *dmi_.Create_SlimPad("Rounds");
+  const Bundle* root = *dmi_.Create_Bundle("root", {0, 0}, 800, 600);
+  ASSERT_TRUE(dmi_.Update_rootBundle(pad->id(), root->id()).ok());
+  const Scrap* s = *dmi_.Create_Scrap("K 4.9", {1, 2});
+  ASSERT_TRUE(dmi_.AddScrapToBundle(root->id(), s->id()).ok());
+  std::string path = ::testing::TempDir() + "/pad_ids.pad";
+  ASSERT_TRUE(dmi_.save(path).ok());
+  auto is_new = [this](const std::string& id) {
+    return store_.Select(trim::TriplePattern::BySubject(id)).empty();
+  };
+
+  trim::TripleStore store2;
+  SlimPadDmi dmi2(&store2);
+  ASSERT_TRUE(dmi2.load(path).ok());
+  const std::string loaded_scrap = (*dmi2.Create_Scrap("new", {0, 0}))->id();
+  EXPECT_TRUE(is_new(loaded_scrap)) << loaded_scrap;
+
+  trim::TripleStore store3;
+  ASSERT_TRUE(trim::StoreFromXml(trim::StoreToXml(store_), &store3).ok());
+  SlimPadDmi dmi3(&store3);
+  ASSERT_TRUE(dmi3.RebuildFromTriples().ok());
+  const std::string rebuilt_bundle =
+      (*dmi3.Create_Bundle("new", {0, 0}, 1, 1))->id();
+  EXPECT_TRUE(is_new(rebuilt_bundle)) << rebuilt_bundle;
+  EXPECT_EQ(store3.Select(trim::TriplePattern::BySubject(rebuilt_bundle))
+                .size(),
+            5u);  // one type and four attributes
+  std::remove(path.c_str());
+}
+
+// The store is a set: the same annotation twice is rejected, the scrap
+// keeps one copy, and the saved pad loads back.
+TEST_F(SlimPadDmiTest, RepeatedAnnotationIsRejectedAndThePadReloads) {
+  const Scrap* s = *dmi_.Create_Scrap("K 5.9", {1, 2});
+  ASSERT_TRUE(dmi_.AddScrapAnnotation(s->id(), "recheck K").ok());
+  EXPECT_TRUE(dmi_.AddScrapAnnotation(s->id(), "recheck K").IsAlreadyExists());
+  ASSERT_TRUE(dmi_.AddScrapAnnotation(s->id(), "recheck Na").ok());
+  EXPECT_EQ(s->annotations(),
+            (std::vector<std::string>{"recheck K", "recheck Na"}));
+
+  std::string path = ::testing::TempDir() + "/pad_annotations.pad";
+  ASSERT_TRUE(dmi_.save(path).ok());
+  trim::TripleStore store2;
+  SlimPadDmi dmi2(&store2);
+  Status st = dmi2.load(path);
+  ASSERT_TRUE(st.ok()) << st;
+  ExpectSameObjects(dmi_, dmi2);
+  std::remove(path.c_str());
+}
+
+// A load or a rebuild that fails keeps the objects it would have replaced,
+// the store and the next instance id.
+TEST_F(SlimPadDmiTest, FailedLoadAndRebuildChangeNothing) {
+  const SlimPad* pad = *dmi_.Create_SlimPad("Rounds");
+  const Bundle* root = *dmi_.Create_Bundle("root", {0, 0}, 800, 600);
+  ASSERT_TRUE(dmi_.Update_rootBundle(pad->id(), root->id()).ok());
+
+  // A pad file with more instances than dmi_, one of them unbuildable.
+  std::string path = ::testing::TempDir() + "/pad_unbuildable.pad";
+  {
+    trim::TripleStore other_store;
+    SlimPadDmi other(&other_store);
+    for (int i = 0; i < 8; ++i) (void)*other.Create_Scrap("s", {0, 0});
+    const std::string broken =
+        (*other.Create_Bundle("broken", {0, 0}, 30, 20))->id();
+    ASSERT_EQ(other_store.RemoveMatching(trim::TriplePattern::BySubjectProperty(
+                  broken, "bundleWidth")),
+              1u);
+    ASSERT_TRUE(other.save(path).ok());
+  }
+  const std::string triples = trim::StoreToXml(store_);
+  const std::vector<const Bundle*> bundles = dmi_.Bundles();
+  Status st = dmi_.load(path);
+  EXPECT_TRUE(st.IsNotFound()) << st;
+  EXPECT_EQ(trim::StoreToXml(store_), triples);
+  EXPECT_EQ(dmi_.Pads(), (std::vector<const SlimPad*>{pad}));
+  EXPECT_EQ(dmi_.Bundles(), bundles);
+  EXPECT_EQ(pad->root_bundle(), root->id());
+
+  ASSERT_EQ(store_.RemoveMatching(trim::TriplePattern::BySubjectProperty(
+                root->id(), "bundlePos")),
+            1u);
+  st = dmi_.RebuildFromTriples();
+  EXPECT_TRUE(st.IsNotFound()) << st;
+  EXPECT_EQ(dmi_.Bundles(), bundles);
+  EXPECT_EQ(root->pos(), (Coordinate{0, 0}));
+  // The failed load reserved none of the file's ids.
+  EXPECT_EQ((*dmi_.Create_Scrap("next", {0, 0}))->id(), "inst:3");
+  std::remove(path.c_str());
+}
+
 // Property test: random pads survive the triple round trip bit-exactly.
 class PadRoundTrip : public ::testing::TestWithParam<uint64_t> {};
 
@@ -394,6 +489,126 @@ TEST_P(PadRoundTrip, RandomPadSurvivesTripleRebuild) {
   }
   // And the rebuilt store re-serializes identically.
   EXPECT_EQ(trim::StoreToXml(store2), xml_text);
+}
+
+// Random pads with every kind of edit load back object for object, the
+// same through LoadPad, load and RebuildFromTriples.
+TEST_P(PadRoundTrip, RandomPadReloadsObjectForObject) {
+  Rng rng(GetParam());
+  mark::MarkManager marks;
+  SlimPadApp app(&marks);
+  ASSERT_TRUE(app.NewPad("pad" + std::to_string(GetParam())).ok());
+  SlimPadDmi& dmi = app.dmi();
+  std::vector<std::string> bundles{*app.RootBundle()};
+  std::vector<std::string> scraps;
+  auto point = [&rng] {
+    return Coordinate{rng.NextDouble() * 500, rng.NextDouble() * 500};
+  };
+  const int ops = 60 + static_cast<int>(rng.Below(60));
+  for (int i = 0; i < ops; ++i) {
+    const std::string name = rng.Word(6);
+    switch (rng.Below(10)) {
+      case 0: {
+        auto b = app.CreateBundle(rng.Pick(bundles), name, point(),
+                                  rng.NextDouble() * 300 + 1, 120.5);
+        ASSERT_TRUE(b.ok()) << b.status();
+        bundles.push_back(*b);
+        break;
+      }
+      case 1: {
+        auto s = app.AddGraphicScrap(rng.Pick(bundles), name, point());
+        ASSERT_TRUE(s.ok()) << s.status();
+        scraps.push_back(*s);
+        break;
+      }
+      case 2: {
+        if (scraps.empty()) break;
+        const MarkHandle* h =
+            *dmi.Create_MarkHandle("mark" + std::to_string(i));
+        ASSERT_TRUE(dmi.SetScrapMark(rng.Pick(scraps), h->id()).ok());
+        break;
+      }
+      case 3: {
+        if (scraps.empty()) break;
+        const std::string& s = rng.Pick(scraps);
+        ASSERT_TRUE(dmi.AddScrapAnnotation(s, "note " + name).ok());
+        EXPECT_TRUE(
+            dmi.AddScrapAnnotation(s, "note " + name).IsAlreadyExists());
+        break;
+      }
+      case 4: {
+        if (scraps.size() < 2) break;
+        const std::string& from = rng.Pick(scraps);
+        const std::string& to = rng.Pick(scraps);
+        Status st = dmi.LinkScraps(from, to);
+        ASSERT_TRUE(st.ok() || st.IsAlreadyExists()) << st;
+        if (rng.Below(4) == 0) {
+          ASSERT_TRUE(dmi.UnlinkScraps(from, to).ok());
+        }
+        break;
+      }
+      case 5: {
+        if (scraps.empty()) break;
+        ASSERT_TRUE(dmi.Update_scrapName(rng.Pick(scraps), name).ok());
+        ASSERT_TRUE(dmi.Update_scrapPos(rng.Pick(scraps), point()).ok());
+        break;
+      }
+      case 6: {
+        const std::string& b = rng.Pick(bundles);
+        ASSERT_TRUE(dmi.Update_bundleName(b, name).ok());
+        ASSERT_TRUE(dmi.Update_bundlePos(b, point()).ok());
+        ASSERT_TRUE(dmi.Update_bundleSize(b, rng.NextDouble() * 90, 7).ok());
+        break;
+      }
+      case 7: {
+        if (scraps.empty()) break;
+        const size_t at = rng.Below(scraps.size());
+        ASSERT_TRUE(dmi.Delete_Scrap(scraps[at]).ok());
+        scraps.erase(scraps.begin() + static_cast<ptrdiff_t>(at));
+        break;
+      }
+      case 8: {
+        if (bundles.size() < 2) break;
+        // Deleting a bundle takes its nested bundles and scraps along.
+        const size_t at = 1 + rng.Below(bundles.size() - 1);
+        ASSERT_TRUE(dmi.Delete_Bundle(bundles[at]).ok());
+        auto gone = [&dmi](const auto& get) { return !get.ok(); };
+        std::erase_if(bundles, [&](const std::string& id) {
+          return gone(dmi.GetBundle(id));
+        });
+        std::erase_if(scraps, [&](const std::string& id) {
+          return gone(dmi.GetScrap(id));
+        });
+        break;
+      }
+      case 9:
+        ASSERT_TRUE(dmi.Update_padName(app.pad()->id(), name).ok());
+        break;
+    }
+  }
+
+  const std::string path = ::testing::TempDir() + "/random_pad_" +
+                           std::to_string(GetParam()) + ".pad";
+  ASSERT_TRUE(app.SavePad(path).ok());
+  mark::MarkManager marks2;
+  SlimPadApp app2(&marks2);
+  Status st = app2.LoadPad(path);
+  ASSERT_TRUE(st.ok()) << st;
+  ExpectSameObjects(dmi, app2.dmi());
+  EXPECT_EQ(app2.pad()->id(), app.pad()->id());
+
+  trim::TripleStore store3;
+  SlimPadDmi dmi3(&store3);
+  ASSERT_TRUE(dmi3.load(path).ok());
+  ExpectSameObjects(dmi, dmi3);
+
+  trim::TripleStore store4;
+  ASSERT_TRUE(trim::StoreFromXml(trim::StoreToXml(app.store()), &store4).ok());
+  SlimPadDmi dmi4(&store4);
+  ASSERT_TRUE(dmi4.RebuildFromTriples().ok());
+  ExpectSameObjects(dmi, dmi4);
+  std::remove(path.c_str());
+  std::remove((path + ".marks").c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PadRoundTrip,

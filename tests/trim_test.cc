@@ -32,8 +32,8 @@ TEST(TripleStoreTest, DuplicatesRejectedByDefault) {
   TripleStore store;
   ASSERT_TRUE(store.AddLiteral("a", "p", "v").ok());
   EXPECT_TRUE(store.AddLiteral("a", "p", "v").IsAlreadyExists());
-  EXPECT_TRUE(store.Add(T("a", "p", Object::Literal("v")), true).ok());
-  EXPECT_EQ(store.size(), 2u);
+  EXPECT_TRUE(store.Add(T("a", "p", Object::Literal("v"))).IsAlreadyExists());
+  EXPECT_EQ(store.size(), 1u);
 }
 
 TEST(TripleStoreTest, EmptyFieldsRejected) {

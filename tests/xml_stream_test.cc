@@ -608,6 +608,39 @@ TEST(CrashSafeSave, BlockedTempFileKeepsTheOldMarks) {
   std::remove(path.c_str());
 }
 
+// CommitAll writes and fsyncs every temp file before it renames any: when
+// one cannot be written no target changes and no temp file is left.
+TEST(FileReplacerTest, CommitAllReplacesEveryFileOrNone) {
+  const std::string a = ::testing::TempDir() + "/commit_all_a.txt";
+  const std::string b = ::testing::TempDir() + "/commit_all_b.txt";
+  { std::ofstream(a, std::ios::binary | std::ios::trunc) << "old a"; }
+  { std::ofstream(b, std::ios::binary | std::ios::trunc) << "old b"; }
+  ASSERT_EQ(::mkdir((b + ".tmp").c_str(), 0700), 0);
+  {
+    FileReplacer file_a(a);
+    *file_a.buffer() = "new a";
+    FileReplacer file_b(b);
+    *file_b.buffer() = "new b";
+    Status st = FileReplacer::CommitAll({&file_a, &file_b});
+    EXPECT_TRUE(st.IsIoError()) << st;
+  }
+  EXPECT_EQ(*ReadFile(a), "old a");
+  EXPECT_EQ(*ReadFile(b), "old b");
+  EXPECT_NE(::access((a + ".tmp").c_str(), F_OK), 0);
+  ASSERT_EQ(::rmdir((b + ".tmp").c_str()), 0);
+  {
+    FileReplacer file_a(a);
+    *file_a.buffer() = "new a";
+    FileReplacer file_b(b);
+    *file_b.buffer() = "new b";
+    ASSERT_TRUE(FileReplacer::CommitAll({&file_a, &file_b}).ok());
+  }
+  EXPECT_EQ(*ReadFile(a), "new a");
+  EXPECT_EQ(*ReadFile(b), "new b");
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // ReadFile.
 // ---------------------------------------------------------------------------
